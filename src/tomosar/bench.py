@@ -15,9 +15,10 @@ from . import fileio
 from ._pool import run_indexed
 from .errors import ConfigurationError
 from .metrics import evaluate_tensors, timed
-from .sensing import build_steering_matrix
+from .sensing import build_steering_matrix, complex_noise, fiber_rng, noise_sigma
 from .simulate import GridSpec, generate_echo, make_test_object
 from .solvers import (
+    _default_lambda1,
     _ista_matrix,
     _unrolled_infer,
     reconstruct_tensor,
@@ -57,21 +58,13 @@ def detect_peaks(mag, rel_threshold=0.25, min_gap=1):
     return sorted(accepted)
 
 
-def _trial_noise(n_e, sigma, seed, sep_index, trial):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(sep_index, trial))
-    g = np.random.Generator(np.random.Philox(ss))
-    draws = g.standard_normal(2 * n_e)
-    return (sigma / math.sqrt(2.0)) * (draws[:n_e] + 1j * draws[n_e:])
-
-
 def _solve_fiber_batch(y_batch, a, method, cfg, lista_params):
     """Reconstruct a batch of independent fibers (columns of y_batch)."""
     if method in ("ista", "fista"):
         rcfg = resolve_config(cfg, a, y_batch)
         if cfg is None or cfg.lambda1 is None:
             # per-trial default threshold, exactly as a solo run would derive it
-            lam_cols = 0.05 * np.max(np.abs(a.conj().T @ y_batch), axis=0)
-            theta_cols = rcfg.alpha * lam_cols
+            theta_cols = rcfg.alpha * _default_lambda1(a, y_batch)
         else:
             theta_cols = None
         x, _ = _ista_matrix(y_batch, a, rcfg, variant=method, theta_cols=theta_cols)
@@ -133,10 +126,9 @@ def resolution_curve(
         if math.isinf(snr_db):
             noise = np.zeros((n_e, trials), dtype=np.complex128)
         else:
-            power = float(np.mean(np.abs(y_clean) ** 2))
-            sigma = math.sqrt(power / (10.0 ** (snr_db / 10.0)))
+            sigma = noise_sigma(y_clean, snr_db)
             noise = np.stack(
-                [_trial_noise(n_e, sigma, seed, si, t) for t in range(trials)], axis=1
+                [complex_noise(fiber_rng(seed, si, t), n_e, sigma) for t in range(trials)], axis=1
             )
         y_batch = y_clean[:, None] + noise
         x_batch = _solve_fiber_batch(y_batch, a, method, cfg, lista_params)

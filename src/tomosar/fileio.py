@@ -43,7 +43,8 @@ def write_tensor(path, t):
 
 
 def read_tensor(path):
-    """Read a TSR3 file back as a complex128 tensor."""
+    """Read a TSR3 file back as a complex128 tensor; a non-finite payload is
+    rejected with ConfigurationError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -62,6 +63,8 @@ def read_tensor(path):
     if len(raw) != expected:
         raise ConfigurationError(f"{path}: payload size {len(raw) - _HEADER.size} != {8 * n}")
     data = np.frombuffer(raw, dtype="<c8", offset=_HEADER.size, count=n)
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError(f"{path}: payload contains non-finite values")
     return data.reshape(d0, d1, d2).astype(np.complex128)
 
 

@@ -150,17 +150,29 @@ def adjoint(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (a.conj().T @ y.reshape(d0, d1 * d2)).reshape(n_z, d1, d2)
 
 
-def fiber_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based substream for one fiber (or trial) of a seeded run.
+def fiber_rng(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based substream keyed by (seed, *key), e.g. (seed, fiber) or
+    (seed, separation, trial).
 
     Streams are independent of evaluation order, so noise draws do not
     depend on how work is scheduled across threads.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _noise_sigma(y, snr_db):
+def complex_noise(g: np.random.Generator, n: int, sigma: float) -> np.ndarray:
+    """n circular complex Gaussian samples of variance sigma^2 from ``g``.
+
+    Draws 2n standard normals d and returns sigma/sqrt(2) (d[:n] + j d[n:]).
+    """
+    draws = g.standard_normal(2 * n)
+    return (sigma / math.sqrt(2.0)) * (draws[:n] + 1j * draws[n:])
+
+
+def noise_sigma(y, snr_db: float) -> float:
+    """Noise standard deviation that puts ``y`` at ``snr_db``:
+    sqrt(mean |y|^2 / 10^(snr_db / 10))."""
     power = float(np.mean(np.abs(y) ** 2))
     if power == 0.0:
         raise ValueError("cannot scale noise against an all-zero echo")
@@ -180,22 +192,13 @@ def add_noise(y: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     if math.isinf(snr_db):
         return y.copy()
-    sigma = _noise_sigma(y, snr_db)
+    sigma = noise_sigma(y, snr_db)
     d0, d1, d2 = y.shape
     out = y.copy()
     flat = out.reshape(d0, d1 * d2)
     for f in range(d1 * d2):
-        g = fiber_rng(seed, f)
-        draws = g.standard_normal(2 * d0)
-        flat[:, f] += (sigma / math.sqrt(2.0)) * (draws[:d0] + 1j * draws[d0:])
+        flat[:, f] += complex_noise(fiber_rng(seed, f), d0, sigma)
     return out
-
-
-def noise_for_fiber(n_e: int, sigma: float, seed: int, index: int) -> np.ndarray:
-    """One fiber's worth of circular complex noise from its substream."""
-    g = fiber_rng(seed, index)
-    draws = g.standard_normal(2 * n_e)
-    return (sigma / math.sqrt(2.0)) * (draws[:n_e] + 1j * draws[n_e:])
 
 
 def spectral_norm_sq(a: np.ndarray, iters: int = 50) -> float:

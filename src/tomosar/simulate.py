@@ -16,7 +16,15 @@ import numpy as np
 
 from . import tensor
 from .errors import ConfigurationError
-from .sensing import SystemGeometry, add_noise, forward, theoretical_resolution
+from .sensing import (
+    SystemGeometry,
+    add_noise,
+    complex_noise,
+    fiber_rng,
+    forward,
+    noise_sigma,
+    theoretical_resolution,
+)
 
 BUILDING_KINDS = ("box", "l_shape", "one_step", "multi_step", "flat")
 
@@ -476,7 +484,7 @@ def make_fiber_dataset(a: np.ndarray, n_fibers: int, seed: int, snr_db: float = 
     X = np.zeros((n_z, n_fibers), dtype=np.complex128)
     Y = np.zeros((n_e, n_fibers), dtype=np.complex128)
     for i in range(n_fibers):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+        rng = fiber_rng(seed, i)
         k = int(rng.integers(1, max_scatterers + 1))
         bins = rng.choice(n_z, size=k, replace=False)
         amps = rng.uniform(1.0, 4.0, size=k)
@@ -485,10 +493,7 @@ def make_fiber_dataset(a: np.ndarray, n_fibers: int, seed: int, snr_db: float = 
         x[bins] = amps * np.exp(1j * phases)
         y = a @ x
         if not math.isinf(snr_db):
-            power = float(np.mean(np.abs(y) ** 2))
-            sigma = math.sqrt(power / (10.0 ** (snr_db / 10.0)))
-            draws = rng.standard_normal(2 * n_e)
-            y = y + (sigma / math.sqrt(2.0)) * (draws[:n_e] + 1j * draws[n_e:])
+            y = y + complex_noise(rng, n_e, noise_sigma(y, snr_db))
         X[:, i] = x
         Y[:, i] = y
     return Y, X

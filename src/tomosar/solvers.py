@@ -65,18 +65,10 @@ class ResolvedConfig:
     max_outer: int
     inner_iters: int
 
-    def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "mu": self.mu,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "sigma": self.sigma,
-            "max_outer": self.max_outer,
-            "inner_iters": self.inner_iters,
-        }
+
+def _default_lambda1(a, y2d):
+    """The documented default lambda1, 0.05 * max |A^H y|, of each column y of y2d."""
+    return 0.05 * np.max(np.abs(a.conj().T @ y2d), axis=0)
 
 
 def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9) -> ResolvedConfig:
@@ -94,7 +86,9 @@ def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9)
         alpha = alpha_factor / spectral_norm_sq(a)
     lam1 = cfg.lambda1
     if lam1 is None:
-        lam1 = 0.05 * float(np.max(np.abs(a.conj().T @ y2d)))
+        # rounding is monotone, so the largest scaled column maximum equals
+        # 0.05 times the global maximum bit for bit
+        lam1 = float(np.max(_default_lambda1(a, y2d)))
     lam2 = cfg.lambda2
     if lam2 is None:
         lam2 = 0.01 * lam1
@@ -146,26 +140,6 @@ class SolverReport:
         return d
 
 
-@dataclass
-class BregmanState:
-    """Per-axis split variables of the tensor solver.
-
-    Arrays are stored in tensor layout; ``folded(axis)`` exposes the
-    slices-as-columns matrix form of the underlying formulation.
-    """
-
-    x_i: list
-    v_i: list
-    b_i: list
-
-    def folded(self, axis):
-        return (
-            tensor.fold(self.x_i[axis], axis),
-            tensor.fold(self.v_i[axis], axis),
-            tensor.fold(self.b_i[axis], axis),
-        )
-
-
 def soft_threshold(z, theta):
     """Proximal map of theta * l1: sign(z) * max(|z| - theta, 0).
 
@@ -195,6 +169,45 @@ def _rel_change(x_new, x_old):
     return num / den
 
 
+def _iterate(step, x, objective, sigma, max_outer, solver):
+    """The outer loop shared by every iterative solver.
+
+    Applies ``x = step(x)`` from the given start and records the objective
+    and relative-change traces; stops once the relative change drops below
+    ``sigma`` or after ``max_outer`` steps.  Raises DivergenceError, naming
+    ``solver``, the iteration and the objective, as soon as the objective is
+    non-finite or exceeds ten times its value at the start.  Returns
+    (x, SolverReport).
+    """
+    obj0 = objective(x)
+    obj_trace = []
+    rel_trace = []
+    converged = False
+    t0 = time.perf_counter()
+    for it in range(max_outer):
+        x_new = step(x)
+        rel_trace.append(_rel_change(x_new, x))
+        x = x_new
+        obj = objective(x)
+        obj_trace.append(obj)
+        if not math.isfinite(obj) or (obj0 > 0 and obj > 10.0 * obj0):
+            why = f"exceeded 10x its initial value {obj0:.3e}" if math.isfinite(obj) else "is not finite"
+            raise DivergenceError(
+                f"{solver} at iteration {it}: objective {obj:.3e} {why}", objective_trace=obj_trace
+            )
+        if rel_trace[-1] < sigma:
+            converged = True
+            break
+    report = SolverReport(
+        iterations=len(obj_trace),
+        objective_trace=obj_trace,
+        rel_change_trace=rel_trace,
+        wall_time_s=time.perf_counter() - t0,
+        converged=converged,
+    )
+    return x, report
+
+
 def _prox_step(x, y2d, a, ah, alpha, theta):
     """One gradient step on the data term followed by soft thresholding."""
     return soft_threshold(x + alpha * (ah @ (y2d - a @ x)), theta)
@@ -216,7 +229,6 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista", theta_cols=None):
     if variant not in ("ista", "fista"):
         raise ConfigurationError(f"unknown variant {variant!r}")
     ah = a.conj().T
-    n_z = a.shape[1]
     m = y2d.shape[1]
     if theta_cols is None:
         theta = rcfg.alpha * rcfg.lambda1
@@ -224,35 +236,28 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista", theta_cols=None):
     else:
         theta = np.asarray(theta_cols, dtype=np.float64).reshape(1, m)
         lam = theta[0] / rcfg.alpha
-    x = np.zeros((n_z, m), dtype=np.complex128)
-    z = x
-    t_k = 1.0
-    obj_trace = []
-    rel_trace = []
-    converged = False
-    t0 = time.perf_counter()
-    for _ in range(rcfg.max_outer):
-        point = z if variant == "fista" else x
-        x_new = _prox_step(point, y2d, a, ah, rcfg.alpha, theta)
-        if variant == "fista":
-            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
-            z = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
-            t_k = t_next
-        rel = _rel_change(x_new, x)
-        x = x_new
-        obj_trace.append(_batch_objective(x, y2d, a, lam))
-        rel_trace.append(rel)
-        if rel < rcfg.sigma:
-            converged = True
-            break
-    report = SolverReport(
-        iterations=len(obj_trace),
-        objective_trace=obj_trace,
-        rel_change_trace=rel_trace,
-        wall_time_s=time.perf_counter() - t0,
-        converged=converged,
+    # fista's extrapolated point (None until the first step, where it is the
+    # start) and momentum
+    z, t_k = None, 1.0
+
+    def step(x):
+        nonlocal z, t_k
+        if variant == "ista":
+            return _prox_step(x, y2d, a, ah, rcfg.alpha, theta)
+        x_new = _prox_step(x if z is None else z, y2d, a, ah, rcfg.alpha, theta)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
+        z = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
+        t_k = t_next
+        return x_new
+
+    return _iterate(
+        step,
+        np.zeros((a.shape[1], m), dtype=np.complex128),
+        lambda x: _batch_objective(x, y2d, a, lam),
+        rcfg.sigma,
+        rcfg.max_outer,
+        variant,
     )
-    return x, report
 
 
 def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista", debias=False):
@@ -278,22 +283,6 @@ def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista", debias=Fal
     return x, report
 
 
-def ista_slice(y_slice, a, cfg: SolverConfig | None = None):
-    """Slice-wise ISTA: one gradient step plus a slice-global threshold.
-
-    The default lambda1 is derived from the whole slice, so every column
-    shares one threshold; with an explicit cfg the per-column math is
-    identical to :func:`ista_fiber`.
-    """
-    y_slice = np.asarray(y_slice, dtype=np.complex128)
-    if y_slice.ndim != 2:
-        raise ValueError(f"expected a 2D echo slice, got shape {y_slice.shape}")
-    if y_slice.shape[0] != a.shape[0]:
-        raise ValueError(f"slice rows {y_slice.shape[0]} do not match matrix rows {a.shape[0]}")
-    rcfg = resolve_config(cfg, a, y_slice)
-    return _ista_matrix(y_slice, a, rcfg, variant="ista")
-
-
 def objective_eval(x, y, a, lambda1, lambda2):
     """Exact hybrid objective 1/2||Y-A(X)||_F^2 + lambda1 l1 + lambda2 TV."""
     resid = y - forward(a, x)
@@ -305,19 +294,48 @@ def objective_eval(x, y, a, lambda1, lambda2):
     return value
 
 
+def _split_sweep(p0, u_i, v_i, b_i, alpha, lambda1, lambda2, mu, tau1, tau2, inner_iters):
+    """One per-axis split-Bregman sweep; returns the consensus iterate.
+
+    For each tensor axis: ``inner_iters`` proximal-descent steps on
+    1/(2 alpha) ||u - p0||^2 + mu/2 ||D u - v + b||^2 + lambda1 ||u||_1
+    (lambda1 = 0 skips the shrink), ``inner_iters`` shrinkage steps on the
+    TV split variable v, and the Bregman update of b.  The per-axis lists
+    ``u_i``, ``v_i``, ``b_i`` are updated in place; the result is the
+    average of the three per-axis iterates.
+    """
+    for ax in range(3):
+        p = p0 / alpha + mu * tensor.diff_adjoint(v_i[ax] - b_i[ax], ax)
+        u = u_i[ax]
+        for _ in range(inner_iters):
+            grad = u / alpha + mu * tensor.diff_adjoint(tensor.diff(u, ax), ax) - p
+            u = u - tau1 * grad
+            if lambda1:
+                u = soft_threshold(u, lambda1 * tau1)
+        u_i[ax] = u
+        du = tensor.diff(u, ax)
+        w = v_i[ax]
+        for _ in range(inner_iters):
+            w = soft_threshold(w - tau2 * mu * (w - du - b_i[ax]), lambda2 * tau2)
+        v_i[ax] = w
+        b_i[ax] = b_i[ax] + du - w
+    return (u_i[0] + u_i[1] + u_i[2]) / 3.0
+
+
 def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
     """Hybrid l1 / 3D-TV tensor solver via per-axis split-Bregman.
 
-    Each outer iteration takes a gradient step on the data term, then for
-    each tensor axis runs ``inner_iters`` proximal-descent steps on the
-    l1-regularized quadratic, ``inner_iters`` shrinkage steps on the TV
-    split variable, a dual update, and finally averages the three per-axis
-    iterates into the consensus tensor.  Stops when the consensus relative
-    change drops below sigma.  The difference operators are applied
-    operator-wise; no dense matrix is ever materialized.
+    Each outer iteration takes a gradient step on the data term, then runs
+    one :func:`_split_sweep` from it: per tensor axis, ``inner_iters``
+    proximal-descent steps on the l1-regularized quadratic, ``inner_iters``
+    shrinkage steps on the TV split variable and a dual update, then the
+    average of the three per-axis iterates is the consensus tensor.  Stops
+    when the consensus relative change drops below sigma.  The difference
+    operators are applied operator-wise; no dense matrix is ever
+    materialized.
 
-    Raises DivergenceError (carrying the trace) if the objective exceeds
-    ten times its initial value.
+    Raises DivergenceError (carrying the trace) if the objective is
+    non-finite or exceeds ten times its initial value.
     """
     y = np.asarray(y, dtype=np.complex128)
     tensor._check3d(y)
@@ -326,69 +344,38 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
         raise ValueError(f"echo channel extent {y.shape[0]} does not match matrix rows {n_e}")
     dims = (n_z, y.shape[1], y.shape[2])
     rcfg = resolve_config(cfg, a, y, alpha_factor=1.8)
-
-    x = np.zeros(dims, dtype=np.complex128)
-    state = BregmanState(
-        x_i=[np.zeros(dims, dtype=np.complex128) for _ in range(3)],
-        v_i=[np.zeros(dims, dtype=np.complex128) for _ in range(3)],
-        b_i=[np.zeros(dims, dtype=np.complex128) for _ in range(3)],
-    )
-    obj0 = objective_eval(x, y, a, rcfg.lambda1, rcfg.lambda2)
-    obj_trace = []
-    rel_trace = []
+    x_i, v_i, b_i = ([np.zeros(dims, dtype=np.complex128) for _ in range(3)] for _ in range(3))
     gap_trace = []
-    converged = False
-    t0 = time.perf_counter()
-    for _ in range(rcfg.max_outer):
+
+    def step(x):
         z = x - rcfg.alpha * adjoint(a, forward(a, x) - y)
-        for ax in range(3):
-            p = z / rcfg.alpha + rcfg.mu * tensor.diff_adjoint(state.v_i[ax] - state.b_i[ax], ax)
-            u = state.x_i[ax]
-            for _ in range(rcfg.inner_iters):
-                grad = u / rcfg.alpha + rcfg.mu * tensor.diff_adjoint(tensor.diff(u, ax), ax) - p
-                u = soft_threshold(u - rcfg.tau1 * grad, rcfg.lambda1 * rcfg.tau1)
-            state.x_i[ax] = u
-            du = tensor.diff(u, ax)
-            w = state.v_i[ax]
-            for _ in range(rcfg.inner_iters):
-                w = soft_threshold(w - rcfg.tau2 * rcfg.mu * (w - du - state.b_i[ax]), rcfg.lambda2 * rcfg.tau2)
-            state.v_i[ax] = w
-            state.b_i[ax] = state.b_i[ax] + du - w
-        x_new = (state.x_i[0] + state.x_i[1] + state.x_i[2]) / 3.0
-        rel = _rel_change(x_new, x)
-        x = x_new
-        obj_trace.append(objective_eval(x, y, a, rcfg.lambda1, rcfg.lambda2))
-        rel_trace.append(rel)
-        gap_trace.append(
-            sum(tensor.frobenius(tensor.diff(state.x_i[ax], ax) - state.v_i[ax]) for ax in range(3))
+        x_new = _split_sweep(
+            z, x_i, v_i, b_i, rcfg.alpha, rcfg.lambda1, rcfg.lambda2,
+            rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters,
         )
-        if obj0 > 0 and obj_trace[-1] > 10.0 * obj0:
-            raise DivergenceError(
-                f"objective {obj_trace[-1]:.3e} exceeded 10x its initial value {obj0:.3e}",
-                objective_trace=obj_trace,
-            )
-        if rel < rcfg.sigma:
-            converged = True
-            break
-    report = SolverReport(
-        iterations=len(obj_trace),
-        objective_trace=obj_trace,
-        rel_change_trace=rel_trace,
-        wall_time_s=time.perf_counter() - t0,
-        converged=converged,
-        feasibility_gap_trace=gap_trace,
+        gap_trace.append(sum(tensor.frobenius(tensor.diff(x_i[ax], ax) - v_i[ax]) for ax in range(3)))
+        return x_new
+
+    x, report = _iterate(
+        step,
+        np.zeros(dims, dtype=np.complex128),
+        lambda x: objective_eval(x, y, a, rcfg.lambda1, rcfg.lambda2),
+        rcfg.sigma,
+        rcfg.max_outer,
+        "sb-tv",
     )
+    report.feasibility_gap_trace = gap_trace
     return x, report
 
 
 def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10):
     """Shallow TV enhancement: approximately solve
-    min_U 1/2 ||U - X||_F^2 + lambda2 TV(U) with the same per-axis
-    split-Bregman machinery, the data term replaced by the quadratic anchor.
+    min_U 1/2 ||U - X||_F^2 + lambda2 TV(U) with ``passes`` fixed
+    :func:`_split_sweep` passes, the data term replaced by the quadratic
+    anchor (alpha = 1) and no l1 term.
 
     lambda2 = 0 (or an already TV-free input) returns the input unchanged.
-    ``inner_iters`` controls the sub-problem steps per pass and ``passes``
-    the number of outer consensus passes.
+    ``inner_iters`` controls the sub-problem steps per pass.
     """
     x = np.asarray(x, dtype=np.complex128)
     tensor._check3d(x)
@@ -403,22 +390,8 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10):
     u_i = [x.copy() for _ in range(3)]
     v_i = [np.zeros_like(x) for _ in range(3)]
     b_i = [np.zeros_like(x) for _ in range(3)]
-    out = x
     for _ in range(passes):
-        for ax in range(3):
-            p = x + mu * tensor.diff_adjoint(v_i[ax] - b_i[ax], ax)
-            u = u_i[ax]
-            for _ in range(inner_iters):
-                grad = u + mu * tensor.diff_adjoint(tensor.diff(u, ax), ax) - p
-                u = u - tau1 * grad
-            u_i[ax] = u
-            du = tensor.diff(u, ax)
-            w = v_i[ax]
-            for _ in range(inner_iters):
-                w = soft_threshold(w - tau2 * mu * (w - du - b_i[ax]), lambda2 * tau2)
-            v_i[ax] = w
-            b_i[ax] = b_i[ax] + du - w
-        out = (u_i[0] + u_i[1] + u_i[2]) / 3.0
+        out = _split_sweep(x, u_i, v_i, b_i, 1.0, 0.0, lambda2, mu, tau1, tau2, inner_iters)
     return out
 
 
@@ -539,6 +512,9 @@ def lista_train(a, dataset, k_blocks=9, epochs=200, lr=0.1, seed=0):
         raise ConfigurationError("epochs must be >= 0 and lr > 0")
 
     alpha0 = 0.9 / spectral_norm_sq(a)
+    # the mean of the per-fiber maxima: a different rule from the maximum
+    # that resolve_config takes of _default_lambda1, and the one that the
+    # bytes of trained parameter files depend on
     lam0 = 0.05 * float(np.mean(np.max(np.abs(a.conj().T @ y2d), axis=0)))
     vec = np.concatenate([np.full(k_blocks, alpha0), np.full(k_blocks, alpha0 * lam0)])
 
@@ -580,43 +556,43 @@ def reconstruct_tensor(y, a, method, cfg: SolverConfig | None = None, lista_para
 
     Methods: "ista" / "fista" (batched over all fibers with a global
     threshold), "sb-tv", "light-tv", "lista" (requires ``lista_params``).
-    Returns (scene tensor, SolverReport).
+    The echo must be a nonempty, finite order-3 tensor with one channel per
+    matrix row (ValueError otherwise).  Returns (scene tensor, SolverReport).
     """
-    y = np.asarray(y, dtype=np.complex128)
-    tensor._check3d(y)
-    if method in ("ista", "fista"):
-        rcfg = resolve_config(cfg, a, y)
-        d1, d2 = y.shape[1], y.shape[2]
-        x2d, report = _ista_matrix(y.reshape(y.shape[0], -1), a, rcfg, variant=method)
-        return x2d.reshape(a.shape[1], d1, d2), report
+    y = tensor.as_tensor(y)
+    if y.shape[0] != a.shape[0]:
+        raise ValueError(f"echo channel extent {y.shape[0]} does not match matrix rows {a.shape[0]}")
     if method == "sb-tv":
         return split_bregman_l1tv(y, a, cfg)
     if method == "light-tv":
         return light_reconstruct_enhance(y, a, cfg, threads=threads)
-    if method == "lista":
+    y2d = y.reshape(y.shape[0], -1)
+    if method in ("ista", "fista"):
+        x2d, report = _ista_matrix(y2d, a, resolve_config(cfg, a, y), variant=method)
+    elif method == "lista":
         if lista_params is None:
             raise ConfigurationError("method 'lista' requires trained parameters")
-        t0 = time.perf_counter()
-        d1, d2 = y.shape[1], y.shape[2]
-        y2d = y.reshape(y.shape[0], -1)
         ah = a.conj().T
-        x2d = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
-        obj_trace = []
-        rel_trace = []
-        for k in range(lista_params.blocks):
-            x_new = _prox_step(x2d, y2d, a, ah, lista_params.alpha[k], lista_params.theta[k])
-            rel_trace.append(_rel_change(x_new, x2d))
-            x2d = x_new
-            # data-fit trace only: the unrolled blocks carry no single lambda pair
-            obj_trace.append(0.5 * float(np.sum(np.abs(y2d - a @ x2d) ** 2)))
-        report = SolverReport(
-            iterations=lista_params.blocks,
-            objective_trace=obj_trace,
-            rel_change_trace=rel_trace,
-            wall_time_s=time.perf_counter() - t0,
-            converged=True,
+        blocks = zip(lista_params.alpha, lista_params.theta)
+
+        def step(x):
+            alpha_k, theta_k = next(blocks)
+            return _prox_step(x, y2d, a, ah, alpha_k, theta_k)
+
+        # data-fit objective only: the unrolled blocks carry no single lambda
+        # pair; sigma = 0 never stops early, and a network that has run all
+        # its K blocks is complete, so the report says converged
+        x2d, report = _iterate(
+            step,
+            np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128),
+            lambda x: 0.5 * float(np.sum(np.abs(y2d - a @ x) ** 2)),
+            0.0,
+            lista_params.blocks,
+            "lista",
         )
-        return x2d.reshape(a.shape[1], d1, d2), report
-    raise ConfigurationError(
-        f"unknown method {method!r}; choose from ista, fista, sb-tv, light-tv, lista"
-    )
+        report.converged = True
+    else:
+        raise ConfigurationError(
+            f"unknown method {method!r}; choose from ista, fista, sb-tv, light-tv, lista"
+        )
+    return x2d.reshape(a.shape[1], y.shape[1], y.shape[2]), report

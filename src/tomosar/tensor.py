@@ -17,12 +17,7 @@ position.
 
 import numpy as np
 
-HORIZONTAL = 0
-LATERAL = 1
-FRONTAL = 2
-
-_AXES = (HORIZONTAL, LATERAL, FRONTAL)
-_SLICE_NAMES = {"horizontal": HORIZONTAL, "lateral": LATERAL, "frontal": FRONTAL}
+_AXES = (0, 1, 2)
 
 
 def as_tensor(data):
@@ -49,52 +44,6 @@ def _check3d(t):
 def _check_axis(axis):
     if axis not in _AXES:
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
-
-
-def fiber(t, j, k):
-    """Return the axis-0 fiber t[:, j, k].  Indices must be in range."""
-    _check3d(t)
-    _, d1, d2 = t.shape
-    if not (0 <= j < d1 and 0 <= k < d2):
-        raise IndexError(f"fiber index ({j}, {k}) out of range for shape {t.shape}")
-    return t[:, j, k]
-
-
-def tensor_slice(t, kind, index):
-    """Return a 2D slice of ``t``.
-
-    ``kind`` is one of "horizontal", "lateral", "frontal" (or the axis
-    constants 0/1/2 for the fixed axis).  Orientations are documented in the
-    module docstring.
-    """
-    _check3d(t)
-    axis = _SLICE_NAMES.get(kind, kind)
-    _check_axis(axis)
-    if not (0 <= index < t.shape[axis]):
-        raise IndexError(f"slice index {index} out of range for axis {axis} of shape {t.shape}")
-    if axis == HORIZONTAL:
-        return t[index, :, :]
-    if axis == LATERAL:
-        return t[:, index, :]
-    return t[:, :, index]
-
-
-def matricize(t):
-    """Stack all axis-0 fibers as columns of an (n_z, n_x * n_y) matrix.
-
-    Column order is C order of the (j, k) index pair: k varies fastest.
-    """
-    _check3d(t)
-    d0 = t.shape[0]
-    return t.reshape(d0, -1)
-
-
-def dematricize(m, dims):
-    """Inverse of :func:`matricize` for the given tensor dims."""
-    d0, d1, d2 = dims
-    if m.shape != (d0, d1 * d2):
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    return m.reshape(d0, d1, d2)
 
 
 def fold(t, axis):
@@ -141,24 +90,6 @@ def l1(t):
     return float(np.sum(np.abs(t)))
 
 
-def inner(a, b):
-    """Inner product sum(a * conj(b)); shapes must match."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.sum(a * np.conj(b)))
-
-
-def hadamard(a, b):
-    """Elementwise product; shapes must match."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def diff(t, axis):
     """First-order forward difference along ``axis`` with replicate boundary.
 
@@ -181,7 +112,7 @@ def diff(t, axis):
 def diff_adjoint(t, axis):
     """Adjoint of :func:`diff` along ``axis``.
 
-    Satisfies inner(diff(x, a), y) == inner(x, diff_adjoint(y, a)) for all x,
+    Satisfies vdot(diff(x, a), y) == vdot(x, diff_adjoint(y, a)) for all x,
     y of matching shape.
     """
     _check3d(t)

@@ -152,6 +152,30 @@ class TestReconstruct:
         assert "diverged" in res.stderr
         assert "iteration 0: objective" in res.stderr
 
+    @pytest.mark.parametrize("method", ["ista", "fista", "light-tv"])
+    def test_oversized_step_exits_3_for_every_solver(self, tmp_path, method):
+        _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
+        res = run_cli(
+            "reconstruct", "--echo", echo, "--method", method,
+            "--alpha", "1.0", "--out", tmp_path / "r.tsr3",
+        )
+        assert res.returncode == 3, res.stderr
+        solver = "ista" if method == "light-tv" else method
+        assert f"solver diverged: {solver} at iteration " in res.stderr
+        assert not (tmp_path / "r.tsr3").exists()
+
+    def test_nonfinite_echo_exits_2(self, tmp_path):
+        _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
+        bad = tmp_path / "nan_echo.tsr3"
+        y = read_tensor(str(echo))
+        y[3, 1, 2] = np.nan
+        write_tensor(str(bad), y)
+        res = run_cli("reconstruct", "--echo", bad, "--method", "fista", "--out", tmp_path / "r.tsr3")
+        assert res.returncode == 2
+        assert str(bad) in res.stderr
+        assert "non-finite" in res.stderr
+        assert not (tmp_path / "r.tsr3").exists()
+
     def test_flag_overrides_config_file(self, tmp_path):
         _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
         cfg = tmp_path / "cfg.json"

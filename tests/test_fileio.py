@@ -67,6 +67,15 @@ class TestTensorContainer:
         with pytest.raises(ConfigurationError):
             fileio.read_tensor(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_nonfinite_payload(self, tmp_path, bad):
+        t = np.ones((2, 2, 2), dtype=complex)
+        t[1, 0, 1] = bad
+        path = str(tmp_path / "t.tsr3")
+        fileio.write_tensor(path, t)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            fileio.read_tensor(path)
+
 
 class TestJson:
     def test_canonical_bytes(self, tmp_path):

@@ -12,6 +12,7 @@ from tomosar.sensing import (
     add_noise,
     adjoint,
     build_steering_matrix,
+    complex_noise,
     default_geometry,
     fiber_rng,
     forward,
@@ -207,6 +208,14 @@ class TestNoise:
         g = r0.standard_normal(12) + 1j * r0.standard_normal(12)
         expect = y[:, 0, 0] + (sigma / np.sqrt(2)) * g
         assert np.allclose(noisy[:, 0, 0], expect, atol=1e-15)
+
+    def test_keyed_substream_and_complex_noise(self):
+        # fiber_rng(seed, *key) is the Philox stream of SeedSequence(seed,
+        # spawn_key=key); complex_noise splits 2n normals into re and im
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=9, spawn_key=(2, 7))))
+        d = ref.standard_normal(10)
+        got = complex_noise(fiber_rng(9, 2, 7), 5, 0.3)
+        assert np.array_equal(got, (0.3 / np.sqrt(2.0)) * (d[:5] + 1j * d[5:]))
 
 
 class TestSpectralNorm:

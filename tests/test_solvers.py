@@ -17,7 +17,6 @@ from tomosar.solvers import (
     LearnedIstaParams,
     SolverConfig,
     ista_fiber,
-    ista_slice,
     light_reconstruct_enhance,
     lista_infer,
     lista_train,
@@ -189,39 +188,42 @@ class TestFista:
 
 
 class TestIstaSlice:
+    """Slice-wise ISTA: a batch of fibers with one threshold derived from the
+    whole echo, run through reconstruct_tensor on an (n_e, m, 1) tensor."""
+
     def test_single_column_equals_fiber(self):
         a = build_steering_matrix(small_geometry())
         r = np.random.default_rng(4)
         y = r.standard_normal(a.shape[0]) + 1j * r.standard_normal(a.shape[0])
         x_f, _ = ista_fiber(y, a)
-        x_s, _ = ista_slice(y[:, None], a)
-        assert np.array_equal(x_s[:, 0], x_f)
+        x_s, _ = reconstruct_tensor(y.reshape(-1, 1, 1), a, "ista")
+        assert np.array_equal(x_s[:, 0, 0], x_f)
 
     def test_zero_slice(self):
         a = build_steering_matrix(small_geometry())
-        x, report = ista_slice(np.zeros((a.shape[0], 5)), a)
+        x, report = reconstruct_tensor(np.zeros((a.shape[0], 5, 1)), a, "ista")
         assert np.all(x == 0)
         assert report.converged
 
     def test_noiseless_support_recovery(self):
         g = default_geometry()
         a = build_steering_matrix(g)
-        truth = np.zeros((64, 8), dtype=np.complex128)
+        truth = np.zeros((64, 8, 1), dtype=np.complex128)
         for j, k in enumerate((5, 14, 30, 47)):
-            truth[k, 2 * j] = 1.0
-        y = a @ truth
-        x, _ = ista_slice(y, a, cfg=SolverConfig(sigma=1e-8, max_outer=400))
+            truth[k, 2 * j, 0] = 1.0
+        y = forward(a, truth)
+        x, _ = reconstruct_tensor(y, a, "ista", cfg=SolverConfig(sigma=1e-8, max_outer=400))
         for j, k in enumerate((5, 14, 30, 47)):
-            assert int(np.argmax(np.abs(x[:, 2 * j]))) == k
+            assert int(np.argmax(np.abs(x[:, 2 * j, 0]))) == k
         # empty columns stay empty
-        assert np.all(np.abs(x[:, 1]) == 0)
+        assert np.all(np.abs(x[:, 1, 0]) == 0)
 
     def test_dim_validation(self):
         a = build_steering_matrix(small_geometry())
         with pytest.raises(ValueError):
-            ista_slice(np.zeros(a.shape[0]), a)
-        with pytest.raises(ValueError):
-            ista_slice(np.zeros((a.shape[0] + 2, 3)), a)
+            reconstruct_tensor(np.zeros((a.shape[0], 3)), a, "ista")
+        with pytest.raises(ValueError, match="does not match matrix rows"):
+            reconstruct_tensor(np.zeros((a.shape[0] + 2, 3, 1)), a, "ista")
 
 
 class TestObjectiveEval:
@@ -541,6 +543,14 @@ class TestReconstructDispatch:
         x, _ = reconstruct_tensor(y, a, "ista")
         assert x.shape == (a.shape[1], 3, 2)
 
+    def test_nonfinite_echo_rejected(self):
+        a = build_steering_matrix(small_geometry())
+        y = np.ones((a.shape[0], 2, 2), dtype=complex)
+        y[0, 1, 1] = np.nan
+        for method in ("ista", "sb-tv", "light-tv"):
+            with pytest.raises(ValueError, match="non-finite"):
+                reconstruct_tensor(y, a, method)
+
     def test_lista_method_matches_infer(self):
         g = small_geometry()
         a = build_steering_matrix(g)
@@ -551,6 +561,49 @@ class TestReconstructDispatch:
         expect = lista_infer(y.reshape(a.shape[0], -1), a, params).reshape(a.shape[1], 2, 3)
         assert np.array_equal(x, expect)
         assert report.iterations == 4
+
+
+class TestDivergenceGuard:
+    def echo(self, a, seed=23):
+        r = np.random.default_rng(seed)
+        return r.standard_normal((a.shape[0], 3, 2)) + 1j * r.standard_normal((a.shape[0], 3, 2))
+
+    @pytest.mark.parametrize("method", ["ista", "fista", "sb-tv", "light-tv"])
+    def test_oversized_step_raises(self, method):
+        a = build_steering_matrix(small_geometry())
+        cfg = SolverConfig(alpha=50.0 / spectral_norm_sq(a))
+        with pytest.raises(DivergenceError) as err:
+            reconstruct_tensor(self.echo(a), a, method, cfg=cfg, threads=1)
+        msg = str(err.value)
+        solver = "ista" if method == "light-tv" else method
+        assert msg.startswith(f"{solver} at iteration ")
+        assert "objective" in msg
+        assert len(err.value.objective_trace) >= 1
+
+    def test_oversized_lista_step_raises(self):
+        a = build_steering_matrix(small_geometry())
+        params = LearnedIstaParams.equivalence(20, 50.0 / spectral_norm_sq(a), 0.1)
+        with pytest.raises(DivergenceError, match=r"^lista at iteration \d+: objective"):
+            reconstruct_tensor(self.echo(a), a, "lista", lista_params=params)
+
+    def test_nonfinite_objective_raises(self):
+        a = build_steering_matrix(small_geometry())
+        with pytest.raises(DivergenceError, match="is not finite"), np.errstate(over="ignore"):
+            reconstruct_tensor(self.echo(a), a, "ista", cfg=SolverConfig(alpha=1e300, lambda1=0.0))
+
+    def test_normal_fista_run_never_trips(self):
+        g = default_geometry()
+        a = build_steering_matrix(g)
+        truth = np.zeros((64, 4, 4), dtype=np.complex128)
+        truth[20, 1, 1] = 1.0
+        truth[40, 2, 3] = 2.0 - 1.0j
+        r = np.random.default_rng(24)
+        y = forward(a, truth) + 0.1 * (r.standard_normal((12, 4, 4)) + 1j * r.standard_normal((12, 4, 4)))
+        x, report = reconstruct_tensor(y, a, "fista", cfg=SolverConfig(sigma=1e-12, max_outer=2000))
+        obj0 = 0.5 * float(np.sum(np.abs(y) ** 2))
+        assert report.converged
+        assert max(report.objective_trace) < 10.0 * obj0
+        assert np.all(np.isfinite(x))
 
 
 class TestConfig:
