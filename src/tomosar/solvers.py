@@ -140,23 +140,29 @@ class SolverReport:
         return d
 
 
-def soft_threshold(z, theta):
+def soft_threshold(z, theta, out=None):
     """Proximal map of theta * l1: sign(z) * max(|z| - theta, 0).
 
     Complex sign is z/|z| with sign(0) = 0.  ``theta`` may be a scalar or an
-    array broadcastable against z (used for per-column thresholds).
+    array broadcastable against z (used for per-column thresholds).  ``out``,
+    if given, receives the result; ``out=z`` shrinks in place.
     """
     th = np.asarray(theta)
     if np.any(th < 0):
         raise ValueError("threshold must be nonnegative")
     arr = np.asarray(z)
-    mag = np.abs(arr)
-    shrunk = np.maximum(mag - th, 0.0)
-    safe = np.where(mag > 0, mag, 1.0)
-    out = arr * (shrunk / safe)
+    mag = np.asarray(np.abs(arr))
+    ratio = np.asarray(mag - th)
+    np.maximum(ratio, 0.0, out=ratio)
+    # divide by |z| where |z| > 0 and by 1 where |z| == 0, where the ratio
+    # is already +0.0: |z| + (|z| == 0) is that divisor exactly, without the
+    # branches of np.where or of a masked divide, which are several times slower
+    np.add(mag, mag == 0, out=mag)
+    np.divide(ratio, mag, out=ratio)
+    res = np.multiply(arr, ratio, out=out)
     if np.isscalar(z) or np.ndim(z) == 0:
-        return out[()]
-    return out
+        return res[()]
+    return res
 
 
 def _rel_change(x_new, x_old):
@@ -208,15 +214,33 @@ def _iterate(step, x, objective, sigma, max_outer, solver):
     return x, report
 
 
-def _prox_step(x, y2d, a, ah, alpha, theta):
-    """One gradient step on the data term followed by soft thresholding."""
-    return soft_threshold(x + alpha * (ah @ (y2d - a @ x)), theta)
+def _residual(x, y2d, a):
+    """y2d - a @ x, written into the product."""
+    r = a @ x
+    return np.subtract(y2d, r, out=r)
 
 
-def _batch_objective(x, y2d, a, lam):
-    resid = 0.5 * float(np.sum(np.abs(y2d - a @ x) ** 2))
+def _prox_step(x, y2d, a, ah, alpha, theta, resid=None):
+    """One gradient step on the data term followed by soft thresholding.
+
+    ``resid``, if given, is ``y2d - a @ x`` already computed for this ``x``;
+    it is read, not written.
+    """
+    if resid is None:
+        resid = _residual(x, y2d, a)
+    g = ah @ resid
+    np.multiply(alpha, g, out=g)
+    np.add(x, g, out=g)
+    # a new array for the shrink, not out=g: shrinking g in place measured
+    # 10-20 % slower per step at 500 and 4096 columns, the temporaries of
+    # the next step then landing on fresh pages
+    return soft_threshold(g, theta)
+
+
+def _batch_objective(x, resid, lam):
+    data = 0.5 * float(np.sum(np.abs(resid) ** 2))
     col_l1 = np.sum(np.abs(x), axis=0)
-    return resid + float(np.sum(lam * col_l1))
+    return data + float(np.sum(lam * col_l1))
 
 
 def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista", theta_cols=None):
@@ -236,28 +260,36 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista", theta_cols=None):
     else:
         theta = np.asarray(theta_cols, dtype=np.float64).reshape(1, m)
         lam = theta[0] / rcfg.alpha
-    # fista's extrapolated point (None until the first step, where it is the
-    # start) and momentum
-    z, t_k = None, 1.0
+    x0 = np.zeros((a.shape[1], m), dtype=np.complex128)
+    # fista's extrapolated point (the start until the first step) and momentum
+    z, t_k = x0, 1.0
+    # the last iterate the objective saw and its residual y2d - a @ x
+    seen = (None, None)
+
+    def objective(x):
+        nonlocal seen
+        seen = (x, _residual(x, y2d, a))
+        return _batch_objective(x, seen[1], lam)
 
     def step(x):
         nonlocal z, t_k
+        # ista steps from the iterate the objective has just seen, so its
+        # residual is reused; fista steps from the momentum point, which the
+        # objective sees only at the start
+        start = x if variant == "ista" else z
+        x_new = _prox_step(start, y2d, a, ah, rcfg.alpha, theta, seen[1] if seen[0] is start else None)
         if variant == "ista":
-            return _prox_step(x, y2d, a, ah, rcfg.alpha, theta)
-        x_new = _prox_step(x if z is None else z, y2d, a, ah, rcfg.alpha, theta)
+            return x_new
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
-        z = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
+        # z is rewritten in place once it no longer is the start, which
+        # _iterate still holds as x
+        z = np.subtract(x_new, x, out=None if z is x0 else z)
+        np.multiply((t_k - 1.0) / t_next, z, out=z)
+        np.add(x_new, z, out=z)
         t_k = t_next
         return x_new
 
-    return _iterate(
-        step,
-        np.zeros((a.shape[1], m), dtype=np.complex128),
-        lambda x: _batch_objective(x, y2d, a, lam),
-        rcfg.sigma,
-        rcfg.max_outer,
-        variant,
-    )
+    return _iterate(step, x0, objective, rcfg.sigma, rcfg.max_outer, variant)
 
 
 def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista", debias=False):
@@ -285,7 +317,8 @@ def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista", debias=Fal
 
 def objective_eval(x, y, a, lambda1, lambda2):
     """Exact hybrid objective 1/2||Y-A(X)||_F^2 + lambda1 l1 + lambda2 TV."""
-    resid = y - forward(a, x)
+    resid = forward(a, x)
+    np.subtract(y, resid, out=resid)
     value = 0.5 * float(np.sum(np.abs(resid) ** 2))
     if lambda1:
         value += lambda1 * tensor.l1(x)
@@ -294,32 +327,56 @@ def objective_eval(x, y, a, lambda1, lambda2):
     return value
 
 
-def _split_sweep(p0, u_i, v_i, b_i, alpha, lambda1, lambda2, mu, tau1, tau2, inner_iters):
+def _sweep_buffers(dims):
+    """The work arrays of :func:`_split_sweep`, allocated once per solve."""
+    return tuple(np.empty(dims, dtype=np.complex128) for _ in range(5))
+
+
+def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau2, inner_iters):
     """One per-axis split-Bregman sweep; returns the consensus iterate.
 
     For each tensor axis: ``inner_iters`` proximal-descent steps on
     1/(2 alpha) ||u - p0||^2 + mu/2 ||D u - v + b||^2 + lambda1 ||u||_1
     (lambda1 = 0 skips the shrink), ``inner_iters`` shrinkage steps on the
-    TV split variable v, and the Bregman update of b.  The per-axis lists
-    ``u_i``, ``v_i``, ``b_i`` are updated in place; the result is the
-    average of the three per-axis iterates.
+    TV split variable v, and the Bregman update of b.  The arrays of the
+    per-axis lists ``u_i``, ``v_i``, ``b_i`` are updated in place, and
+    ``bufs`` (from :func:`_sweep_buffers`) holds every intermediate; the
+    result, a new array, is the average of the three per-axis iterates.
     """
+    anchor, p, d, h, du = bufs
+    np.divide(p0, alpha, out=anchor)
+    s = tau2 * mu
     for ax in range(3):
-        p = p0 / alpha + mu * tensor.diff_adjoint(v_i[ax] - b_i[ax], ax)
-        u = u_i[ax]
+        u, w, b = u_i[ax], v_i[ax], b_i[ax]
+        # p = p0 / alpha + mu * D^T (v - b)
+        tensor.diff_adjoint(np.subtract(w, b, out=d), ax, out=p)
+        np.multiply(mu, p, out=p)
+        np.add(anchor, p, out=p)
         for _ in range(inner_iters):
-            grad = u / alpha + mu * tensor.diff_adjoint(tensor.diff(u, ax), ax) - p
-            u = u - tau1 * grad
+            # u = u - tau1 * (u / alpha + mu * D^T D u - p)
+            tensor.diff_adjoint(tensor.diff(u, ax, out=d), ax, out=h)
+            np.multiply(mu, h, out=h)
+            np.divide(u, alpha, out=d)
+            np.add(d, h, out=d)
+            np.subtract(d, p, out=d)
+            np.multiply(tau1, d, out=d)
+            np.subtract(u, d, out=u)
             if lambda1:
-                u = soft_threshold(u, lambda1 * tau1)
-        u_i[ax] = u
-        du = tensor.diff(u, ax)
-        w = v_i[ax]
+                soft_threshold(u, lambda1 * tau1, out=u)
+        tensor.diff(u, ax, out=du)
         for _ in range(inner_iters):
-            w = soft_threshold(w - tau2 * mu * (w - du - b_i[ax]), lambda2 * tau2)
-        v_i[ax] = w
-        b_i[ax] = b_i[ax] + du - w
-    return (u_i[0] + u_i[1] + u_i[2]) / 3.0
+            # w = shrink(w - tau2 * mu * (w - du - b))
+            np.subtract(w, du, out=d)
+            np.subtract(d, b, out=d)
+            np.multiply(s, d, out=d)
+            np.subtract(w, d, out=w)
+            soft_threshold(w, lambda2 * tau2, out=w)
+        # b = b + du - w
+        np.add(b, du, out=b)
+        np.subtract(b, w, out=b)
+    x = np.add(u_i[0], u_i[1])
+    np.add(x, u_i[2], out=x)
+    return np.divide(x, 3.0, out=x)
 
 
 def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
@@ -345,15 +402,24 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
     dims = (n_z, y.shape[1], y.shape[2])
     rcfg = resolve_config(cfg, a, y, alpha_factor=1.8)
     x_i, v_i, b_i = ([np.zeros(dims, dtype=np.complex128) for _ in range(3)] for _ in range(3))
+    bufs = _sweep_buffers(dims)
     gap_trace = []
 
     def step(x):
-        z = x - rcfg.alpha * adjoint(a, forward(a, x) - y)
+        # z = x - alpha * A^H (A x - y)
+        r = forward(a, x)
+        np.subtract(r, y, out=r)
+        z = adjoint(a, r)
+        np.multiply(rcfg.alpha, z, out=z)
+        np.subtract(x, z, out=z)
         x_new = _split_sweep(
-            z, x_i, v_i, b_i, rcfg.alpha, rcfg.lambda1, rcfg.lambda2,
+            z, x_i, v_i, b_i, bufs, rcfg.alpha, rcfg.lambda1, rcfg.lambda2,
             rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters,
         )
-        gap_trace.append(sum(tensor.frobenius(tensor.diff(x_i[ax], ax) - v_i[ax]) for ax in range(3)))
+        d = bufs[2]
+        gap_trace.append(sum(
+            tensor.frobenius(np.subtract(tensor.diff(x_i[ax], ax, out=d), v_i[ax], out=d)) for ax in range(3)
+        ))
         return x_new
 
     x, report = _iterate(
@@ -390,8 +456,9 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10):
     u_i = [x.copy() for _ in range(3)]
     v_i = [np.zeros_like(x) for _ in range(3)]
     b_i = [np.zeros_like(x) for _ in range(3)]
+    bufs = _sweep_buffers(x.shape)
     for _ in range(passes):
-        out = _split_sweep(x, u_i, v_i, b_i, 1.0, 0.0, lambda2, mu, tau1, tau2, inner_iters)
+        out = _split_sweep(x, u_i, v_i, b_i, bufs, 1.0, 0.0, lambda2, mu, tau1, tau2, inner_iters)
     return out
 
 

@@ -90,46 +90,74 @@ def l1(t):
     return float(np.sum(np.abs(t)))
 
 
-def diff(t, axis):
+def _slices(axis, index):
+    return (slice(None),) * axis + (index,)
+
+
+# per-axis index tuples of diff / diff_adjoint: planes n + 1, n < N - 1, the
+# last, the first, the interior, n < N - 2 and the second to last
+_TAIL = [_slices(ax, slice(1, None)) for ax in _AXES]
+_HEAD = [_slices(ax, slice(None, -1)) for ax in _AXES]
+_LAST = [_slices(ax, -1) for ax in _AXES]
+_FIRST = [_slices(ax, 0) for ax in _AXES]
+_MID = [_slices(ax, slice(1, -1)) for ax in _AXES]
+_HEAD2 = [_slices(ax, slice(None, -2)) for ax in _AXES]
+_LAST2 = [_slices(ax, -2) for ax in _AXES]
+
+
+def _check_out(t, out):
+    if out.shape != t.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {t.shape}")
+    if np.may_share_memory(out, t):
+        raise ValueError("out must not share memory with the input")
+
+
+def diff(t, axis, out=None):
     """First-order forward difference along ``axis`` with replicate boundary.
 
     out[n] = t[n + 1] - t[n] for n < N - 1, and the final plane is zero, so a
     constant tensor maps to zero and the operator has the same shape as its
-    input.
+    input.  ``out``, if given, receives the result and must not share memory
+    with ``t`` (ValueError).
     """
     _check3d(t)
     _check_axis(axis)
-    n = t.shape[axis]
-    if n == 1:
-        return np.zeros_like(t)
-    pad_shape = list(t.shape)
-    pad_shape[axis] = 1
-    return np.concatenate(
-        [np.diff(t, axis=axis), np.zeros(pad_shape, dtype=t.dtype)], axis=axis
-    )
+    if out is None:
+        out = np.empty(t.shape, dtype=t.dtype)
+    else:
+        _check_out(t, out)
+    if t.shape[axis] == 1:
+        out.fill(0)
+        return out
+    np.subtract(t[_TAIL[axis]], t[_HEAD[axis]], out=out[_HEAD[axis]])
+    out[_LAST[axis]] = 0
+    return out
 
 
-def diff_adjoint(t, axis):
+def diff_adjoint(t, axis, out=None):
     """Adjoint of :func:`diff` along ``axis``.
 
     Satisfies vdot(diff(x, a), y) == vdot(x, diff_adjoint(y, a)) for all x,
-    y of matching shape.
+    y of matching shape.  ``out``, if given, receives the result and must not
+    share memory with ``t`` (ValueError).
     """
     _check3d(t)
     _check_axis(axis)
-    y = np.moveaxis(t, axis, 0)
-    out = np.empty_like(y)
-    n = y.shape[0]
-    if n == 1:
-        return np.zeros_like(t)
-    out[0] = -y[0]
-    if n > 2:
-        out[1:-1] = y[:-2] - y[1:-1]
-    out[-1] = y[-2]
-    return np.moveaxis(out, 0, axis)
+    if out is None:
+        out = np.empty_like(t)
+    else:
+        _check_out(t, out)
+    if t.shape[axis] == 1:
+        out.fill(0)
+        return out
+    np.negative(t[_FIRST[axis]], out=out[_FIRST[axis]])
+    np.subtract(t[_HEAD2[axis]], t[_MID[axis]], out=out[_MID[axis]])
+    out[_LAST[axis]] = t[_LAST2[axis]]
+    return out
 
 
 def tv_norm(t):
     """Anisotropic total variation: sum of l1 norms of the three axis diffs."""
     _check3d(t)
-    return sum(l1(diff(t, axis)) for axis in _AXES)
+    buf = np.empty(t.shape, dtype=t.dtype)
+    return sum(l1(diff(t, axis, out=buf)) for axis in _AXES)

@@ -1,6 +1,8 @@
 """Solver correctness: proximal operator, fiber/slice/tensor solvers,
 TV enhancement, unrolled learned solver, and configuration resolution."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from tomosar.sensing import (
 from tomosar.solvers import (
     LearnedIstaParams,
     SolverConfig,
+    _ista_matrix,
     ista_fiber,
     light_reconstruct_enhance,
     lista_infer,
@@ -92,6 +95,121 @@ class TestSoftThreshold:
         th = np.array([0.5, 3.0])
         out = soft_threshold(z, th)
         assert out == pytest.approx(np.array([[0.5, 0.0], [2.5, 1.0]]))
+
+
+def _soft_threshold_allocating(z, theta):
+    """soft_threshold as it was written before it took ``out=``."""
+    arr = np.asarray(z)
+    mag = np.abs(arr)
+    shrunk = np.maximum(mag - np.asarray(theta), 0.0)
+    safe = np.where(mag > 0, mag, 1.0)
+    out = arr * (shrunk / safe)
+    return out[()] if np.ndim(z) == 0 else out
+
+
+def signed_zero_matrix(shape, seed):
+    """A random complex matrix in which about half the parts are +0 or -0."""
+    r = np.random.default_rng(seed)
+    re = r.standard_normal(shape) * (r.random(shape) < 0.5)
+    im = r.standard_normal(shape) * (r.random(shape) < 0.5)
+    re = np.where(re == 0, np.copysign(0.0, r.random(shape) - 0.5), re)
+    im = np.where(im == 0, np.copysign(0.0, r.random(shape) - 0.5), im)
+    return re + 1j * im
+
+
+class TestSoftThresholdBitwise:
+    """The buffered shrink reproduces the allocating one byte for byte."""
+
+    @pytest.mark.parametrize(
+        "theta", [0.0, 0.7, np.array([0.0, 0.3, 1.2, 0.0, 5.0])], ids=["zero", "scalar", "per-column"]
+    )
+    def test_matches_allocating_kernel(self, theta):
+        z = signed_zero_matrix((6, 5), seed=3)
+        expect = _soft_threshold_allocating(z, theta).tobytes()
+        assert soft_threshold(z, theta).tobytes() == expect
+        out = np.full_like(z, np.nan)
+        assert soft_threshold(z, theta, out=out) is out
+        assert out.tobytes() == expect
+        inplace = z.copy()
+        assert soft_threshold(inplace, theta, out=inplace) is inplace
+        assert inplace.tobytes() == expect
+
+    @pytest.mark.parametrize("z", [0.0, -0.0, complex(-0.0, 0.0), -1.5, 2.0 - 3.0j])
+    def test_scalar_matches_allocating_kernel(self, z):
+        got = soft_threshold(z, 0.5)
+        assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+        assert np.asarray(got).tobytes() == np.asarray(_soft_threshold_allocating(z, 0.5)).tobytes()
+
+
+class _CountingMatrix(np.ndarray):
+    """A matrix that counts the matrix products it takes part in.
+
+    ``counter`` is a one-element list shared by the views and the
+    conjugate derived from the matrix, so products with A^H count too.
+    """
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [i.view(np.ndarray) if isinstance(i, _CountingMatrix) else i for i in inputs]
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            self.counter[0] += 1
+            return result
+        result = result.view(_CountingMatrix)
+        result.counter = self.counter
+        return result
+
+
+class TestIstaMatrixKernels:
+    ITERS = 30
+
+    def problem(self):
+        a = build_steering_matrix(small_geometry())
+        r = np.random.default_rng(31)
+        x_true = np.zeros((a.shape[1], 4), dtype=np.complex128)
+        x_true[[1, 5], [0, 2]] = [1.0, 0.7j]
+        y2d = a @ x_true + 0.2 * (r.standard_normal((a.shape[0], 4)) + 1j * r.standard_normal((a.shape[0], 4)))
+        # sigma far below any relative change: every run makes ITERS steps
+        rcfg = resolve_config(SolverConfig(sigma=1e-300, max_outer=self.ITERS), a, y2d)
+        return a, y2d, rcfg
+
+    @pytest.mark.parametrize("variant, per_iter, saved", [("ista", 2, 0), ("fista", 3, 1)])
+    def test_matmul_count(self, variant, per_iter, saved):
+        # ista steps from the iterate whose residual the objective has just
+        # computed; fista steps from the momentum point, which the objective
+        # sees only at the start.  The leading 1 is the start objective.
+        a, y2d, rcfg = self.problem()
+        counting = a.view(_CountingMatrix)
+        counting.counter = [0]
+        _, report = _ista_matrix(y2d, counting, rcfg, variant)
+        assert report.iterations == self.ITERS
+        assert counting.counter[0] == 1 + per_iter * self.ITERS - saved
+
+    @pytest.mark.parametrize("variant", ["ista", "fista"])
+    @pytest.mark.parametrize("per_column", [False, True], ids=["scalar", "per-column"])
+    def test_matches_allocating_iteration(self, variant, per_column):
+        a, y2d, rcfg = self.problem()
+        ah = a.conj().T
+        alpha = rcfg.alpha
+        if per_column:
+            theta_cols = alpha * np.array([0.5, 0.1, 0.3, 0.0])
+            theta = theta_cols.reshape(1, -1)
+        else:
+            theta_cols = None
+            theta = alpha * rcfg.lambda1
+        x, report = _ista_matrix(y2d, a, rcfg, variant, theta_cols)
+        ref = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
+        z, t_k = ref, 1.0
+        for _ in range(self.ITERS):
+            start = ref if variant == "ista" else z
+            ref_new = _soft_threshold_allocating(start + alpha * (ah @ (y2d - a @ start)), theta)
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
+            z = ref_new + ((t_k - 1.0) / t_next) * (ref_new - ref)
+            ref, t_k = ref_new, t_next
+        assert report.iterations == self.ITERS
+        assert x.tobytes() == ref.tobytes()
 
 
 class TestIstaFiber:

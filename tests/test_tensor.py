@@ -117,6 +117,73 @@ class TestDiff:
         assert np.count_nonzero(tensor.diff_adjoint(t, 0)) == 0
 
 
+def _diff_allocating(t, axis):
+    """diff as it was written before it took ``out=``: np.diff plus a zero plane."""
+    if t.shape[axis] == 1:
+        return np.zeros_like(t)
+    pad_shape = list(t.shape)
+    pad_shape[axis] = 1
+    return np.concatenate([np.diff(t, axis=axis), np.zeros(pad_shape, dtype=t.dtype)], axis=axis)
+
+
+def _diff_adjoint_allocating(t, axis):
+    """diff_adjoint as it was written before it took ``out=``, via moveaxis."""
+    y = np.moveaxis(t, axis, 0)
+    out = np.empty_like(y)
+    n = y.shape[0]
+    if n == 1:
+        return np.zeros_like(t)
+    out[0] = -y[0]
+    if n > 2:
+        out[1:-1] = y[:-2] - y[1:-1]
+    out[-1] = y[-2]
+    return np.moveaxis(out, 0, axis)
+
+
+def signed_zero_tensor(dims, seed):
+    """A random complex tensor in which about half the parts are +0 or -0."""
+    r = rng(seed)
+    re = r.standard_normal(dims) * (r.random(dims) < 0.5)
+    im = r.standard_normal(dims) * (r.random(dims) < 0.5)
+    re = np.where(re == 0, np.copysign(0.0, r.random(dims) - 0.5), re)
+    im = np.where(im == 0, np.copysign(0.0, r.random(dims) - 0.5), im)
+    return re + 1j * im
+
+
+class TestDiffBitwise:
+    """The out= kernels reproduce the allocating ones byte for byte, signed zeros included."""
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("extent", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "op, frozen",
+        [(tensor.diff, _diff_allocating), (tensor.diff_adjoint, _diff_adjoint_allocating)],
+        ids=["diff", "diff_adjoint"],
+    )
+    def test_matches_allocating_kernel(self, op, frozen, extent, axis):
+        dims = [3, 4, 2]
+        dims[axis] = extent
+        t = signed_zero_tensor(tuple(dims), seed=10 * extent + axis)
+        expect = frozen(t, axis).tobytes()
+        assert op(t, axis).tobytes() == expect
+        out = np.full_like(t, np.nan)
+        assert op(t, axis, out=out) is out
+        assert out.tobytes() == expect
+
+    @pytest.mark.parametrize("op", [tensor.diff, tensor.diff_adjoint], ids=["diff", "diff_adjoint"])
+    def test_aliased_out_rejected(self, op):
+        t = random_tensor((3, 4, 5), seed=8)
+        with pytest.raises(ValueError, match="share memory"):
+            op(t, 1, out=t)
+        with pytest.raises(ValueError, match="share memory"):
+            op(t, 0, out=t[::-1])
+
+    def test_mis_shaped_out_rejected(self):
+        t = random_tensor((3, 4, 5), seed=8)
+        with pytest.raises(ValueError, match="shape"):
+            tensor.diff(t, 0, out=np.empty((3, 4, 4), dtype=complex))
+
+
 class TestNorms:
     def test_frobenius_known_value(self):
         t = np.zeros((2, 2, 2), dtype=complex)
