@@ -18,13 +18,12 @@ from .metrics import evaluate_tensors, timed
 from .sensing import build_steering_matrix, complex_noise, fiber_rng, noise_sigma
 from .simulate import GridSpec, generate_echo, make_test_object
 from .solvers import (
-    _default_lambda1,
+    _batch_config,
     _ista_matrix,
     _unrolled_infer,
-    reconstruct_tensor,
-    resolve_config,
-    split_bregman_l1tv,
     light_reconstruct_enhance,
+    reconstruct_tensor,
+    split_bregman_l1tv,
 )
 
 DEFAULT_SEPARATIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
@@ -59,30 +58,24 @@ def detect_peaks(mag, rel_threshold=0.25, min_gap=1):
 
 
 def _solve_fiber_batch(y_batch, a, method, cfg, lista_params):
-    """Reconstruct a batch of independent fibers (columns of y_batch)."""
+    """Reconstruct a batch of independent fibers (columns of y_batch).
+
+    Each fiber gets the thresholds its solo run would derive.  sb-tv and
+    light-tv solve the batch in one run in which every fiber also stops as
+    its solo run would; ista and fista stop the batch as a whole.
+    """
     if method in ("ista", "fista"):
-        rcfg = resolve_config(cfg, a, y_batch)
-        if cfg is None or cfg.lambda1 is None:
-            # per-trial default threshold, exactly as a solo run would derive it
-            theta_cols = rcfg.alpha * _default_lambda1(a, y_batch)
-        else:
-            theta_cols = None
-        x, _ = _ista_matrix(y_batch, a, rcfg, variant=method, theta_cols=theta_cols)
+        rcfg = _batch_config(cfg, a, y_batch)
+        x, _ = _ista_matrix(y_batch, a, rcfg, variant=method, theta_cols=rcfg.alpha * rcfg.lambda1)
         return x
     if method == "lista":
         if lista_params is None:
             raise ConfigurationError("method 'lista' requires trained parameters")
         return _unrolled_infer(y_batch, a, lista_params)
-    if method in ("sb-tv", "light-tv"):
-        cols = []
-        for j in range(y_batch.shape[1]):
-            y_t = y_batch[:, j].reshape(-1, 1, 1)
-            if method == "sb-tv":
-                x_t, _ = split_bregman_l1tv(y_t, a, cfg)
-            else:
-                x_t, _ = light_reconstruct_enhance(y_t, a, cfg, threads=1)
-            cols.append(x_t[:, 0, 0])
-        return np.stack(cols, axis=1)
+    if method == "sb-tv":
+        return split_bregman_l1tv(y_batch, a, cfg, fibers=True)[0]
+    if method == "light-tv":
+        return light_reconstruct_enhance(y_batch, a, cfg, threads=1, fibers=True)[0]
     raise ConfigurationError(f"unknown method {method!r}")
 
 

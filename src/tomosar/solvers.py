@@ -15,7 +15,7 @@ anisotropic 3D total variation of :func:`tomosar.tensor.tv_norm`.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,9 +55,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ResolvedConfig:
+    """A SolverConfig with every default filled in.
+
+    In the config of a fiber batch (:func:`_batch_config`) lambda1 and
+    lambda2 hold one value per fiber.
+    """
+
     alpha: float
-    lambda1: float
-    lambda2: float
+    lambda1: float | np.ndarray
+    lambda2: float | np.ndarray
     mu: float
     tau1: float
     tau2: float
@@ -117,6 +123,24 @@ def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9)
     return r
 
 
+def _batch_config(cfg: SolverConfig | None, a, y2d, alpha_factor=0.9) -> ResolvedConfig:
+    """The config of a batch of independent fibers, the columns of ``y2d``.
+
+    alpha and the other scalars are resolved once for the batch; lambda1 and
+    lambda2 are per-column arrays holding what :func:`resolve_config` derives
+    for each fiber alone: the explicit value, or lambda1 = 0.05 max |A^H y|
+    of the fiber and lambda2 = 0.01 lambda1.  A^H Y is computed once.
+    """
+    cfg = cfg or SolverConfig()
+    m = y2d.shape[1]
+    lam1 = _default_lambda1(a, y2d) if cfg.lambda1 is None else np.full(m, float(cfg.lambda1))
+    # the batch maximum in place of the default, which it equals bit for bit,
+    # so that resolve_config validates without a second A^H Y
+    rcfg = resolve_config(cfg.merged(lambda1=float(np.max(lam1))), a, y2d, alpha_factor)
+    lam2 = 0.01 * lam1 if cfg.lambda2 is None else np.full(m, rcfg.lambda2)
+    return replace(rcfg, lambda1=lam1, lambda2=lam2)
+
+
 @dataclass
 class SolverReport:
     iterations: int
@@ -125,6 +149,7 @@ class SolverReport:
     wall_time_s: float
     converged: bool
     feasibility_gap_trace: list | None = None
+    column_iterations: list | None = None
 
     def to_dict(self, include_timing=False, t_ag_s=None):
         d = {
@@ -175,6 +200,19 @@ def _rel_change(x_new, x_old):
     return num / den
 
 
+def _column_rel_change(x_new, x_old):
+    """:func:`_rel_change` of each column of 2-D arrays."""
+    num = np.sum(np.abs(x_new - x_old) ** 2, axis=0)
+    den = np.sum(np.abs(x_new) ** 2, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(num == 0.0, 0.0, num / den)
+
+
+def _columns(t):
+    """t as a 2-D view, one column per fiber."""
+    return t.reshape(t.shape[0], -1)
+
+
 def _iterate(step, x, objective, sigma, max_outer, solver):
     """The outer loop shared by every iterative solver.
 
@@ -184,32 +222,70 @@ def _iterate(step, x, objective, sigma, max_outer, solver):
     ``solver``, the iteration and the objective, as soon as the objective is
     non-finite or exceeds ten times its value at the start.  Returns
     (x, SolverReport).
+
+    An objective that returns one value per fiber (column of ``x`` viewed by
+    :func:`_columns`) poses that many independent problems, iterated side by
+    side: each column stops on its own relative change, is guarded against
+    its own start objective (the error then also names the column) and
+    keeps its value from its own stop iteration.  The report's iterations
+    count the steps the batch ran, it is converged only if every column is,
+    its traces hold one list over the columns per iteration, and
+    ``column_iterations`` holds each column's own count.
     """
     obj0 = objective(x)
+    batch = np.ndim(obj0) > 0
+    if batch:
+        active = np.ones(obj0.shape, dtype=bool)
+        iters = np.zeros(obj0.shape, dtype=int)
+        frozen = np.empty(x.shape, dtype=x.dtype)
     obj_trace = []
     rel_trace = []
     converged = False
     t0 = time.perf_counter()
     for it in range(max_outer):
         x_new = step(x)
-        rel_trace.append(_rel_change(x_new, x))
+        rel = _column_rel_change(_columns(x_new), _columns(x)) if batch else _rel_change(x_new, x)
+        rel_trace.append(rel)
         x = x_new
         obj = objective(x)
         obj_trace.append(obj)
-        if not math.isfinite(obj) or (obj0 > 0 and obj > 10.0 * obj0):
-            why = f"exceeded 10x its initial value {obj0:.3e}" if math.isfinite(obj) else "is not finite"
+        # Python scalars for a single problem: its checks run every
+        # iteration of thousands of small slice solves
+        if batch:
+            iters[active] = it + 1
+            diverged = active & (~np.isfinite(obj) | ((obj0 > 0) & (obj > 10.0 * obj0)))
+            stopped = active & (rel < sigma)
+        else:
+            diverged = not math.isfinite(obj) or (obj0 > 0 and obj > 10.0 * obj0)
+            stopped = rel < sigma
+        if (diverged.any() if batch else diverged):
+            j = int(np.argmax(diverged)) if batch else None
+            o, o0 = (obj[j], obj0[j]) if batch else (obj, obj0)
+            why = f"exceeded 10x its initial value {o0:.3e}" if math.isfinite(o) else "is not finite"
+            where = f", column {j}" if batch else ""
             raise DivergenceError(
-                f"{solver} at iteration {it}: objective {obj:.3e} {why}", objective_trace=obj_trace
+                f"{solver} at iteration {it}{where}: objective {o:.3e} {why}",
+                objective_trace=[float(v[j]) for v in obj_trace] if batch else obj_trace,
             )
-        if rel_trace[-1] < sigma:
+        if batch:
+            _columns(frozen)[:, stopped] = _columns(x)[:, stopped]
+            active &= ~stopped
+            stopped = not active.any()
+        if stopped:
             converged = True
             break
+    if batch:
+        _columns(frozen)[:, active] = _columns(x)[:, active]
+        x = frozen
+        obj_trace = [v.tolist() for v in obj_trace]
+        rel_trace = [v.tolist() for v in rel_trace]
     report = SolverReport(
         iterations=len(obj_trace),
         objective_trace=obj_trace,
         rel_change_trace=rel_trace,
         wall_time_s=time.perf_counter() - t0,
         converged=converged,
+        column_iterations=iters.tolist() if batch else None,
     )
     return x, report
 
@@ -237,18 +313,23 @@ def _prox_step(x, y2d, a, ah, alpha, theta, resid=None):
     return soft_threshold(g, theta)
 
 
-def _batch_objective(x, resid, lam):
-    data = 0.5 * float(np.sum(np.abs(resid) ** 2))
+def _batch_objective(x, resid, lam, per_column):
     col_l1 = np.sum(np.abs(x), axis=0)
+    if per_column:
+        return 0.5 * np.sum(np.abs(resid) ** 2, axis=0) + lam * col_l1
+    data = 0.5 * float(np.sum(np.abs(resid) ** 2))
     return data + float(np.sum(lam * col_l1))
 
 
 def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista", theta_cols=None):
     """Batched proximal-gradient solve on an (n_z, m) iterate.
 
+    With a fiber-batch config (per-column lambda1, see :func:`_batch_config`)
+    the columns are independent problems, each with threshold alpha *
+    lambda1 of its own and its own stop (:func:`_iterate`).  Otherwise the
+    batch is one problem with one stop on its whole relative change, and
     ``theta_cols`` optionally carries a per-column threshold array (shape
-    (m,)); otherwise the scalar alpha * lambda1 is used.  Stopping uses the
-    whole-batch relative change.
+    (m,)) in place of the scalar alpha * lambda1.
     """
     if variant not in ("ista", "fista"):
         raise ConfigurationError(f"unknown variant {variant!r}")
@@ -260,6 +341,7 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista", theta_cols=None):
     else:
         theta = np.asarray(theta_cols, dtype=np.float64).reshape(1, m)
         lam = theta[0] / rcfg.alpha
+    per_column = theta_cols is None and np.ndim(lam) > 0
     x0 = np.zeros((a.shape[1], m), dtype=np.complex128)
     # fista's extrapolated point (the start until the first step) and momentum
     z, t_k = x0, 1.0
@@ -269,7 +351,7 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista", theta_cols=None):
     def objective(x):
         nonlocal seen
         seen = (x, _residual(x, y2d, a))
-        return _batch_objective(x, seen[1], lam)
+        return _batch_objective(x, seen[1], lam, per_column)
 
     def step(x):
         nonlocal z, t_k
@@ -327,12 +409,39 @@ def objective_eval(x, y, a, lambda1, lambda2):
     return value
 
 
+def _fiber_tv(x):
+    """The TV of each fiber of a batch (the columns of 2-D x) alone."""
+    return np.sum(np.abs(tensor.diff(x[:, :, None], 0)), axis=(0, 2))
+
+
+def _fiber_objective(x, y, a, lambda1, lambda2):
+    """:func:`objective_eval` of each fiber of a batch (the columns of 2-D x
+    and y) alone; lambda1 and lambda2 may hold one value per fiber.
+    """
+    resid = a @ x
+    np.subtract(y, resid, out=resid)
+    return 0.5 * np.sum(np.abs(resid) ** 2, axis=0) + lambda1 * np.sum(np.abs(x), axis=0) + lambda2 * _fiber_tv(x)
+
+
 def _sweep_buffers(dims):
     """The work arrays of :func:`_split_sweep`, allocated once per solve."""
     return tuple(np.empty(dims, dtype=np.complex128) for _ in range(5))
 
 
-def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau2, inner_iters):
+def _fiber_batch(t, fibers):
+    """Whether t is a batch of fibers; raises ValueError unless it is 2-D then."""
+    if fibers and (t.ndim != 2 or t.size == 0):
+        raise ValueError(f"expected a nonempty (n, fibers) batch, got shape={t.shape}")
+    return bool(fibers)
+
+
+def _no_diff(t, axis, out):
+    """The zero difference across the batch axis of a fiber batch."""
+    out.fill(0)
+    return out
+
+
+def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau2, inner_iters, batch_axis=None):
     """One per-axis split-Bregman sweep; returns the consensus iterate.
 
     For each tensor axis: ``inner_iters`` proximal-descent steps on
@@ -342,35 +451,41 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
     per-axis lists ``u_i``, ``v_i``, ``b_i`` are updated in place, and
     ``bufs`` (from :func:`_sweep_buffers`) holds every intermediate; the
     result, a new array, is the average of the three per-axis iterates.
+
+    Fibers side by side along ``batch_axis`` are independent problems: D is
+    zero across that axis, as along an axis of extent 1, and lambda1 and
+    lambda2 may be arrays that broadcast one value per fiber.
     """
     anchor, p, d, h, du = bufs
     np.divide(p0, alpha, out=anchor)
     s = tau2 * mu
+    th1, th2 = lambda1 * tau1, lambda2 * tau2
     for ax in range(3):
         u, w, b = u_i[ax], v_i[ax], b_i[ax]
+        diff, diff_adjoint = (_no_diff, _no_diff) if ax == batch_axis else (tensor.diff, tensor.diff_adjoint)
         # p = p0 / alpha + mu * D^T (v - b)
-        tensor.diff_adjoint(np.subtract(w, b, out=d), ax, out=p)
+        diff_adjoint(np.subtract(w, b, out=d), ax, out=p)
         np.multiply(mu, p, out=p)
         np.add(anchor, p, out=p)
         for _ in range(inner_iters):
             # u = u - tau1 * (u / alpha + mu * D^T D u - p)
-            tensor.diff_adjoint(tensor.diff(u, ax, out=d), ax, out=h)
+            diff_adjoint(diff(u, ax, out=d), ax, out=h)
             np.multiply(mu, h, out=h)
             np.divide(u, alpha, out=d)
             np.add(d, h, out=d)
             np.subtract(d, p, out=d)
             np.multiply(tau1, d, out=d)
             np.subtract(u, d, out=u)
-            if lambda1:
-                soft_threshold(u, lambda1 * tau1, out=u)
-        tensor.diff(u, ax, out=du)
+            if np.any(lambda1):
+                soft_threshold(u, th1, out=u)
+        diff(u, ax, out=du)
         for _ in range(inner_iters):
             # w = shrink(w - tau2 * mu * (w - du - b))
             np.subtract(w, du, out=d)
             np.subtract(d, b, out=d)
             np.multiply(s, d, out=d)
             np.subtract(w, d, out=w)
-            soft_threshold(w, lambda2 * tau2, out=w)
+            soft_threshold(w, th2, out=w)
         # b = b + du - w
         np.add(b, du, out=b)
         np.subtract(b, w, out=b)
@@ -379,7 +494,7 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
     return np.divide(x, 3.0, out=x)
 
 
-def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
+def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
     """Hybrid l1 / 3D-TV tensor solver via per-axis split-Bregman.
 
     Each outer iteration takes a gradient step on the data term, then runs
@@ -393,48 +508,61 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
 
     Raises DivergenceError (carrying the trace) if the objective is
     non-finite or exceeds ten times its initial value.
+
+    With ``fibers`` the echo is instead an (n_e, m) batch of independent
+    fibers, one per column, solved in one run and returned as an (n_z, m)
+    array.  Each column gets the config (:func:`_batch_config`), the
+    operations and the stop (:func:`_iterate`) of its solo solve as
+    ``y[:, j].reshape(-1, 1, 1)``, and so its result up to rounding; a batch
+    report has no feasibility-gap trace.
     """
     y = np.asarray(y, dtype=np.complex128)
-    tensor._check3d(y)
+    batch = _fiber_batch(y, fibers)
+    y3 = y[:, :, None] if batch else y
+    tensor._check3d(y3)
     n_e, n_z = a.shape
     if y.shape[0] != n_e:
         raise ValueError(f"echo channel extent {y.shape[0]} does not match matrix rows {n_e}")
-    dims = (n_z, y.shape[1], y.shape[2])
-    rcfg = resolve_config(cfg, a, y, alpha_factor=1.8)
+    dims = (n_z, y3.shape[1], y3.shape[2])
+    if batch:
+        # the fibers lie side by side along axis 1, one threshold each
+        rcfg = _batch_config(cfg, a, y, alpha_factor=1.8)
+        lam1, lam2 = (lam.reshape(1, -1, 1) for lam in (rcfg.lambda1, rcfg.lambda2))
+        objective = lambda x: _fiber_objective(x[:, :, 0], y, a, rcfg.lambda1, rcfg.lambda2)
+    else:
+        rcfg = resolve_config(cfg, a, y, alpha_factor=1.8)
+        lam1, lam2 = rcfg.lambda1, rcfg.lambda2
+        objective = lambda x: objective_eval(x, y, a, rcfg.lambda1, rcfg.lambda2)
     x_i, v_i, b_i = ([np.zeros(dims, dtype=np.complex128) for _ in range(3)] for _ in range(3))
     bufs = _sweep_buffers(dims)
-    gap_trace = []
+    gap_trace = None if batch else []
 
     def step(x):
         # z = x - alpha * A^H (A x - y)
         r = forward(a, x)
-        np.subtract(r, y, out=r)
+        np.subtract(r, y3, out=r)
         z = adjoint(a, r)
         np.multiply(rcfg.alpha, z, out=z)
         np.subtract(x, z, out=z)
         x_new = _split_sweep(
-            z, x_i, v_i, b_i, bufs, rcfg.alpha, rcfg.lambda1, rcfg.lambda2,
-            rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters,
+            z, x_i, v_i, b_i, bufs, rcfg.alpha, lam1, lam2,
+            rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters, batch_axis=1 if batch else None,
         )
-        d = bufs[2]
-        gap_trace.append(sum(
-            tensor.frobenius(np.subtract(tensor.diff(x_i[ax], ax, out=d), v_i[ax], out=d)) for ax in range(3)
-        ))
+        if not batch:
+            d = bufs[2]
+            gap_trace.append(sum(
+                tensor.frobenius(np.subtract(tensor.diff(x_i[ax], ax, out=d), v_i[ax], out=d)) for ax in range(3)
+            ))
         return x_new
 
     x, report = _iterate(
-        step,
-        np.zeros(dims, dtype=np.complex128),
-        lambda x: objective_eval(x, y, a, rcfg.lambda1, rcfg.lambda2),
-        rcfg.sigma,
-        rcfg.max_outer,
-        "sb-tv",
+        step, np.zeros(dims, dtype=np.complex128), objective, rcfg.sigma, rcfg.max_outer, "sb-tv"
     )
     report.feasibility_gap_trace = gap_trace
-    return x, report
+    return (x[:, :, 0] if batch else x), report
 
 
-def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10):
+def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10, *, fibers=False):
     """Shallow TV enhancement: approximately solve
     min_U 1/2 ||U - X||_F^2 + lambda2 TV(U) with ``passes`` fixed
     :func:`_split_sweep` passes, the data term replaced by the quadratic
@@ -442,27 +570,48 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10):
 
     lambda2 = 0 (or an already TV-free input) returns the input unchanged.
     ``inner_iters`` controls the sub-problem steps per pass.
+
+    With ``fibers``, ``x`` is an (n_z, m) batch of fibers, one per column,
+    each denoised along its length as its solo call on
+    ``x[:, j].reshape(-1, 1, 1)`` would be; ``lambda2`` may then hold one
+    value per fiber, and a fiber with lambda2 = 0 or no variation is
+    returned unchanged.
     """
     x = np.asarray(x, dtype=np.complex128)
-    tensor._check3d(x)
-    if lambda2 < 0:
+    batch = _fiber_batch(x, fibers)
+    x3 = x[:, :, None] if batch else x
+    tensor._check3d(x3)
+    if np.any(np.asarray(lambda2) < 0):
         raise ConfigurationError(f"lambda2 must be >= 0, got {lambda2}")
-    if lambda2 == 0.0 or tensor.tv_norm(x) == 0.0:
+    if batch:
+        lam = np.broadcast_to(np.asarray(lambda2, dtype=np.float64), x.shape[1:])
+        keep = (lam != 0.0) & (_fiber_tv(x) != 0.0)
+    else:
+        keep = lambda2 != 0.0 and tensor.tv_norm(x) != 0.0
+    if not np.any(keep):
         return x.copy()
     if inner_iters < 1 or passes < 1 or mu <= 0:
         raise ConfigurationError("inner_iters, passes must be >= 1 and mu > 0")
     tau1 = 1.0 / (1.0 + 8.0 * mu)
     tau2 = 1.0 / mu
-    u_i = [x.copy() for _ in range(3)]
-    v_i = [np.zeros_like(x) for _ in range(3)]
-    b_i = [np.zeros_like(x) for _ in range(3)]
-    bufs = _sweep_buffers(x.shape)
+    # a batch denoises only its kept fibers, side by side along axis 1
+    p0, lam = (x3[:, keep], lam[keep].reshape(1, -1, 1)) if batch else (x, lambda2)
+    u_i = [p0.copy() for _ in range(3)]
+    v_i = [np.zeros_like(p0) for _ in range(3)]
+    b_i = [np.zeros_like(p0) for _ in range(3)]
+    bufs = _sweep_buffers(p0.shape)
     for _ in range(passes):
-        out = _split_sweep(x, u_i, v_i, b_i, bufs, 1.0, 0.0, lambda2, mu, tau1, tau2, inner_iters)
-    return out
+        out = _split_sweep(
+            p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters, batch_axis=1 if batch else None
+        )
+    if not batch:
+        return out
+    res = x.copy()
+    res[:, keep] = out[:, :, 0]
+    return res
 
 
-def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None, threads=None):
+def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None, threads=None, *, fibers=False):
     """Light pipeline: slice-wise ISTA over all frontal slices, then one
     TV-denoise enhancement pass on the assembled tensor.
 
@@ -470,28 +619,39 @@ def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None, threads=Non
     share the same thresholds.  Slices may be solved concurrently; results
     are independent of scheduling.  Returns (tensor, report); the report's
     two-entry traces cover the assembly stage and the enhancement stage.
+
+    With ``fibers`` the echo is instead an (n_e, m) batch of independent
+    fibers, one per column, solved as one slice and returned as an (n_z, m)
+    array: each fiber gets the config (:func:`_batch_config`) and the ISTA
+    stop of its solo solve as ``y[:, j].reshape(-1, 1, 1)``, and the
+    report's traces one value per fiber.
     """
     y = np.asarray(y, dtype=np.complex128)
-    tensor._check3d(y)
+    batch = _fiber_batch(y, fibers)
+    y3 = y[:, :, None] if batch else y
+    tensor._check3d(y3)
     n_e, n_z = a.shape
     if y.shape[0] != n_e:
         raise ValueError(f"echo channel extent {y.shape[0]} does not match matrix rows {n_e}")
-    rcfg = resolve_config(cfg, a, y)
-    n_y = y.shape[2]
+    rcfg = _batch_config(cfg, a, y) if batch else resolve_config(cfg, a, y)
+    n_y = y3.shape[2]
     t0 = time.perf_counter()
 
     def solve_slice(k):
-        return _ista_matrix(y[:, :, k], a, rcfg, variant="ista")
+        return _ista_matrix(y3[:, :, k], a, rcfg, variant="ista")
 
     results = run_indexed(solve_slice, range(n_y), workers=threads)
-    x = np.stack([r[0] for r in results], axis=2)
-    obj_pre = objective_eval(x, y, a, rcfg.lambda1, rcfg.lambda2)
-    x_enh = tv_denoise_enhance(x, rcfg.lambda2, inner_iters=rcfg.inner_iters)
-    obj_post = objective_eval(x_enh, y, a, rcfg.lambda1, rcfg.lambda2)
+    x = results[0][0] if batch else np.stack([r[0] for r in results], axis=2)
+    objective = _fiber_objective if batch else objective_eval
+    obj_pre = objective(x, y, a, rcfg.lambda1, rcfg.lambda2)
+    x_enh = tv_denoise_enhance(x, rcfg.lambda2, inner_iters=rcfg.inner_iters, fibers=batch)
+    obj_post = objective(x_enh, y, a, rcfg.lambda1, rcfg.lambda2)
+    rel_change = _column_rel_change if batch else _rel_change
+    rel = (rel_change(x, np.zeros_like(x)), rel_change(x_enh, x))
     report = SolverReport(
         iterations=2,
-        objective_trace=[obj_pre, obj_post],
-        rel_change_trace=[_rel_change(x, np.zeros_like(x)), _rel_change(x_enh, x)],
+        objective_trace=[np.asarray(v).tolist() for v in (obj_pre, obj_post)],
+        rel_change_trace=[np.asarray(v).tolist() for v in rel],
         wall_time_s=time.perf_counter() - t0,
         converged=all(r[1].converged for r in results),
     )

@@ -8,11 +8,25 @@ import os
 import numpy as np
 import pytest
 
-from tomosar.bench import DEFAULT_SEPARATIONS, detect_peaks, resolution_curve, run_structure_test
-from tomosar.errors import ConfigurationError
+from tomosar.bench import (
+    DEFAULT_SEPARATIONS,
+    _solve_fiber_batch,
+    detect_peaks,
+    resolution_curve,
+    run_structure_test,
+)
+from tomosar.errors import ConfigurationError, DivergenceError
 from tomosar.fileio import read_tensor, write_resolution_curve
-from tomosar.sensing import default_geometry
-from tomosar.simulate import GridSpec
+from tomosar.sensing import build_steering_matrix, complex_noise, default_geometry, fiber_rng, noise_sigma
+from tomosar.simulate import GridSpec, make_test_object
+from tomosar.solvers import (
+    SolverConfig,
+    _batch_config,
+    _ista_matrix,
+    light_reconstruct_enhance,
+    resolve_config,
+    split_bregman_l1tv,
+)
 
 
 class TestDetectPeaks:
@@ -73,9 +87,10 @@ class TestResolutionCurve:
         assert [r["separation_rho_s"] for r in rows] == [0.0, 1.2]
         assert all(r["trials"] == 5 for r in rows)
 
-    def test_deterministic_across_thread_counts(self, tmp_path):
+    @pytest.mark.parametrize("method", ["fista", "sb-tv", "light-tv"])
+    def test_deterministic_across_thread_counts(self, tmp_path, method):
         g = default_geometry()
-        kwargs = dict(separations=(0.0, 1.0), trials=8, snr_db=5.0, seed=3)
+        kwargs = dict(separations=(0.0, 1.0), trials=8, snr_db=5.0, seed=3, method=method)
         rows1 = resolution_curve(g, threads=1, **kwargs)
         rows4 = resolution_curve(g, threads=4, **kwargs)
         assert rows1 == rows4
@@ -93,6 +108,128 @@ class TestResolutionCurve:
 
     def test_default_separations_constant(self):
         assert DEFAULT_SEPARATIONS == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
+
+
+def fiber_echoes(a, separation, trials, seed=3):
+    """Noisy two-scatterer echoes at 5 dB, one trial per column, as resolution_curve draws them."""
+    g = default_geometry()
+    scene, _ = make_test_object("two_scatterers", g, GridSpec.from_geometry(g, n_x=1, n_y=1), seed=0,
+                                separation_rho=separation)
+    y_clean = a @ scene[:, 0, 0]
+    sigma = noise_sigma(y_clean, 5.0)
+    return np.stack([y_clean + complex_noise(fiber_rng(seed, 1, t), a.shape[0], sigma) for t in range(trials)],
+                    axis=1)
+
+
+def assert_matches_solo(x_batch, x_solo):
+    """Column j of a batch result equals its solo result to 1e-12 of the solo maximum."""
+    for j, xs in enumerate(x_solo):
+        assert np.max(np.abs(x_batch[:, j] - xs)) <= 1e-12 * np.max(np.abs(xs)), j
+
+
+class TestFiberBatch:
+    """A batched sb-tv / light-tv fiber solve equals the solo solve of each fiber.
+
+    Not bit for bit: the batch multiplies by A as one matrix product (gemm)
+    where a solo fiber takes a matrix-vector product (gemv).
+    """
+
+    # (separation, trials, zero column, cfg)
+    CASES = {
+        "default": (1.0, 4, None, None),
+        "lambda1": (1.0, 4, None, SolverConfig(lambda1=0.3)),
+        "early-and-capped": (0.2, 5, None, None),
+        "zero-column": (1.0, 3, 1, None),
+        "single": (0.6, 1, None, None),
+    }
+
+    def batch(self, case):
+        a = build_steering_matrix(default_geometry())
+        sep, trials, zero, cfg = self.CASES[case]
+        y = fiber_echoes(a, sep, trials)
+        if zero is not None:
+            y[:, zero] = 0.0
+        return a, y, cfg
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_sb_tv_columns_match_solo(self, case):
+        a, y, cfg = self.batch(case)
+        x, report = split_bregman_l1tv(y, a, cfg, fibers=True)
+        solo = [split_bregman_l1tv(y[:, j].reshape(-1, 1, 1), a, cfg) for j in range(y.shape[1])]
+        assert x.shape == (a.shape[1], y.shape[1])
+        assert report.column_iterations == [r.iterations for _, r in solo]
+        assert report.iterations == max(report.column_iterations)
+        assert report.converged == all(r.converged for _, r in solo)
+        assert_matches_solo(x, [xs[:, 0, 0] for xs, _ in solo])
+        if case == "early-and-capped":
+            its = report.column_iterations
+            assert min(its) < report.iterations == SolverConfig().max_outer
+        if case == "zero-column":
+            assert report.column_iterations[1] == 1 and not np.any(x[:, 1])
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_light_tv_columns_match_solo(self, case):
+        a, y, cfg = self.batch(case)
+        x, report = light_reconstruct_enhance(y, a, cfg, threads=1, fibers=True)
+        solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg, threads=1) for j in range(y.shape[1])]
+        assert report.iterations == 2 == solo[0][1].iterations
+        assert_matches_solo(x, [xs[:, 0, 0] for xs, _ in solo])
+        # the ISTA stage stops each fiber where its solo run stops
+        _, ista = _ista_matrix(y, a, _batch_config(cfg, a, y))
+        solo_its = [_ista_matrix(y[:, [j]], a, resolve_config(cfg, a, y[:, j]))[1].iterations
+                    for j in range(y.shape[1])]
+        assert ista.column_iterations == solo_its
+
+    @pytest.mark.parametrize("method", ["sb-tv", "light-tv"])
+    def test_resolution_batch_is_the_fiber_solve(self, method):
+        a, y, cfg = self.batch("default")
+        x = _solve_fiber_batch(y, a, method, cfg, None)
+        if method == "sb-tv":
+            solo = [split_bregman_l1tv(y[:, j].reshape(-1, 1, 1), a, cfg)[0] for j in range(y.shape[1])]
+        else:
+            solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg, threads=1)[0]
+                    for j in range(y.shape[1])]
+        assert_matches_solo(x, [xs[:, 0, 0] for xs in solo])
+
+    def test_batch_config_matches_solo_configs(self):
+        a, y, _ = self.batch("default")
+        for cfg, factor in ((None, 0.9), (SolverConfig(lambda1=0.3, lambda2=0.02), 1.8)):
+            rcfg = _batch_config(cfg, a, y, factor)
+            for j in range(y.shape[1]):
+                solo = resolve_config(cfg, a, y[:, j], factor)
+                assert rcfg.alpha == solo.alpha
+                assert rcfg.lambda1[j] == pytest.approx(solo.lambda1, rel=1e-14)
+                assert rcfg.lambda2[j] == pytest.approx(solo.lambda2, rel=1e-14)
+
+    def test_requires_a_2d_batch(self):
+        a = build_steering_matrix(default_geometry())
+        with pytest.raises(ValueError):
+            split_bregman_l1tv(np.zeros((a.shape[0], 2, 1)), a, fibers=True)
+        with pytest.raises(ValueError):
+            light_reconstruct_enhance(np.zeros((a.shape[0], 0)), a, fibers=True)
+
+
+class TestFiberBatchDivergence:
+    @pytest.mark.parametrize("method, solver", [("sb-tv", "sb-tv"), ("light-tv", "ista")])
+    def test_error_names_the_column(self, method, solver):
+        a = build_steering_matrix(default_geometry())
+        y = fiber_echoes(a, 1.0, 3)
+        # column 0 is silent and cannot diverge, so the first column to go is 1
+        y[:, 0] = 0.0
+        with pytest.raises(DivergenceError) as err:
+            _solve_fiber_batch(y, a, method, SolverConfig(alpha=1.0), None)
+        msg = str(err.value)
+        assert msg.startswith(f"{solver} at iteration ")
+        assert ", column 1: objective " in msg
+        it = int(msg.split("iteration ")[1].split(",")[0])
+        trace = err.value.objective_trace
+        assert len(trace) == it + 1 and all(isinstance(v, float) for v in trace)
+
+    @pytest.mark.parametrize("method", ["sb-tv", "light-tv"])
+    def test_resolution_curve_raises(self, method):
+        g = default_geometry()
+        with pytest.raises(DivergenceError, match=r"at iteration \d+, column \d+: objective"):
+            resolution_curve(g, separations=(1.0,), trials=2, method=method, cfg=SolverConfig(alpha=1.0), threads=1)
 
 
 class TestStructureTest:

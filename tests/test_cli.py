@@ -164,6 +164,18 @@ class TestReconstruct:
         assert f"solver diverged: {solver} at iteration " in res.stderr
         assert not (tmp_path / "r.tsr3").exists()
 
+    @pytest.mark.parametrize("method", ["sb-tv", "light-tv"])
+    def test_oversized_step_in_resolution_test_exits_3(self, tmp_path, method):
+        res = run_cli(
+            "resolution-test", "--method", method, "--alpha", "1.0", "--trials", "2",
+            "--separations", "1.0", "--out", tmp_path / "curve.csv",
+        )
+        assert res.returncode == 3, res.stderr
+        solver = "ista" if method == "light-tv" else method
+        assert f"solver diverged: {solver} at iteration " in res.stderr
+        assert ", column " in res.stderr
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_nonfinite_echo_exits_2(self, tmp_path):
         _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
         bad = tmp_path / "nan_echo.tsr3"
