@@ -75,7 +75,7 @@ def _solve_fiber_batch(y_batch, a, method, cfg, lista_params):
     if method == "sb-tv":
         return split_bregman_l1tv(y_batch, a, cfg, fibers=True)[0]
     if method == "light-tv":
-        return light_reconstruct_enhance(y_batch, a, cfg, threads=1, fibers=True)[0]
+        return light_reconstruct_enhance(y_batch, a, cfg, fibers=True)[0]
     raise ConfigurationError(f"unknown method {method!r}")
 
 
@@ -167,7 +167,6 @@ def run_structure_test(
     tau_p=None,
     timing=False,
     repeats=1,
-    threads=None,
 ):
     """Generate a test object, reconstruct it, evaluate, and write a bundle.
 
@@ -180,7 +179,7 @@ def run_structure_test(
     scene, meta = make_test_object(obj, g, grid, seed=seed)
     echo = generate_echo(scene, a, snr_db, seed)
     (recon, solver_report), t_mean = timed(
-        lambda: reconstruct_tensor(echo, a, method, cfg=cfg, lista_params=lista_params, threads=threads),
+        lambda: reconstruct_tensor(echo, a, method, cfg=cfg, lista_params=lista_params),
         repeats=repeats if timing else 1,
     )
     cell = (grid.cell_z, grid.cell_x, grid.cell_y)

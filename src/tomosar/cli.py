@@ -4,7 +4,8 @@ Subcommands: simulate, reconstruct, evaluate, resolution-test,
 structure-test, train-lista.  Exit codes: 0 success, 1 I/O failure,
 2 usage/configuration error, 3 solver divergence.  All outputs are
 byte-reproducible for identical flags; timing fields are only populated
-with --timing.  TOMOSAR_THREADS caps the worker pool (0 = auto).
+with --timing.  TOMOSAR_THREADS caps only resolution-test's pool over its
+separations (0 = auto); light-tv solves its slices in order.
 """
 
 import argparse
@@ -44,10 +45,15 @@ def _grid_from(args, g):
 def _solver_config(args):
     base = {}
     if getattr(args, "config", None):
-        base = fileio.read_json(_require_file(args.config, "solver config"))
-        unknown = set(base) - set(SolverConfig().__dict__)
+        path = _require_file(args.config, "solver config")
+        base = fileio.read_json_object(path, "solver config")
+        defaults = SolverConfig().__dict__
+        unknown = set(base) - set(defaults)
         if unknown:
             raise ConfigurationError(f"unknown solver config keys: {sorted(unknown)}")
+        for key, value in base.items():
+            if value is not None or defaults[key] is not None:  # null: the derived default
+                fileio.number_field(path, base, key, "solver config")
     cfg = SolverConfig(**base)
     return cfg.merged(
         alpha=getattr(args, "alpha", None),

@@ -81,6 +81,27 @@ def read_json(path):
         return json.load(fh)
 
 
+def read_json_object(path, what):
+    """A JSON document that must be an object (ConfigurationError naming ``path``)."""
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{path}: {what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def number_field(path, obj, key, what, vector=False):
+    """obj[key] as a float, or with ``vector`` as a float64 vector from a list
+    of numbers; ConfigurationError naming ``path`` if the key is missing or
+    its value is neither."""
+    if key not in obj:
+        raise ConfigurationError(f"{path}: missing {what} key '{key}'")
+    v = obj[key]
+    if isinstance(v, list) != vector or not all(type(e) in (int, float) for e in (v if vector else [v])):
+        kind = "a list of numbers" if vector else "a number"
+        raise ConfigurationError(f"{path}: {what} key '{key}' must be {kind}, got {v!r}")
+    return np.asarray(v, dtype=np.float64) if vector else float(v)
+
+
 def write_geometry(path, g: SystemGeometry):
     write_json(
         path,
@@ -95,17 +116,14 @@ def write_geometry(path, g: SystemGeometry):
 
 
 def read_geometry(path) -> SystemGeometry:
-    obj = read_json(path)
-    try:
-        return SystemGeometry(
-            wavelength_m=float(obj["wavelength_m"]),
-            baselines_m=np.asarray(obj["baselines_m"], dtype=np.float64),
-            reference_slant_range_m=float(obj["reference_slant_range_m"]),
-            reference_incidence_deg=float(obj["reference_incidence_deg"]),
-            elevation_grid_m=np.asarray(obj["elevation_grid_m"], dtype=np.float64),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing geometry key {exc}") from exc
+    obj = read_json_object(path, "geometry")
+    return SystemGeometry(
+        wavelength_m=number_field(path, obj, "wavelength_m", "geometry"),
+        baselines_m=number_field(path, obj, "baselines_m", "geometry", vector=True),
+        reference_slant_range_m=number_field(path, obj, "reference_slant_range_m", "geometry"),
+        reference_incidence_deg=number_field(path, obj, "reference_incidence_deg", "geometry"),
+        elevation_grid_m=number_field(path, obj, "elevation_grid_m", "geometry", vector=True),
+    )
 
 
 def write_point_cloud(path, cloud):
@@ -147,15 +165,12 @@ def write_lista_params(path, params):
 def read_lista_params(path):
     from .solvers import LearnedIstaParams
 
-    obj = read_json(path)
-    try:
-        params = LearnedIstaParams(
-            alpha=np.asarray(obj["alpha"], dtype=np.float64),
-            theta=np.asarray(obj["theta"], dtype=np.float64),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing parameter key {exc}") from exc
-    if params.blocks != int(obj["blocks"]):
+    obj = read_json_object(path, "parameter file")
+    params = LearnedIstaParams(
+        alpha=number_field(path, obj, "alpha", "parameter", vector=True),
+        theta=number_field(path, obj, "theta", "parameter", vector=True),
+    )
+    if params.blocks != number_field(path, obj, "blocks", "parameter"):
         raise ConfigurationError(f"{path}: blocks field does not match array lengths")
     return params
 

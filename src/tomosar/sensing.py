@@ -7,7 +7,6 @@ tensor the operator acts independently on every (range, azimuth) fiber.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,40 +201,18 @@ def add_noise(y: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     return out
 
 
-# spectral_norm_sq results by (shape, strides, dtype, bytes, iters) of the
-# matrix; the oldest entry goes first once the cache is full
-_NORM_CACHE_SIZE = 8
-_norm_cache = {}
-_norm_lock = threading.Lock()
-
-
 def spectral_norm_sq(a: np.ndarray, iters: int = 50) -> float:
     """Largest eigenvalue of a^H a by power iteration (squared spectral norm).
 
     Deterministic: the start vector comes from a fixed internal seed.  The
     returned Rayleigh quotient estimate is monotone nondecreasing in
-    ``iters`` and bounded above by the squared Frobenius norm.  Results are
-    memoised for the last few matrices seen, keyed by their contents and
-    layout, so a repeat call returns the same float without iterating.
+    ``iters`` and bounded above by the squared Frobenius norm.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    key = (a.shape, a.strides, a.dtype.str, a.tobytes(), iters)
-    with _norm_lock:
-        est = _norm_cache.get(key)
-    if est is None:
-        est = _power_iteration(a, iters)
-        with _norm_lock:
-            if len(_norm_cache) >= _NORM_CACHE_SIZE:
-                del _norm_cache[next(iter(_norm_cache))]
-            _norm_cache[key] = est
-    return est
-
-
-def _power_iteration(a, iters):
     g = np.random.Generator(np.random.Philox(np.random.SeedSequence(0x5EED)))
     v = g.standard_normal(a.shape[1]) + 1j * g.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)

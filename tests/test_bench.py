@@ -26,6 +26,7 @@ from tomosar.solvers import (
     light_reconstruct_enhance,
     resolve_config,
     split_bregman_l1tv,
+    tv_denoise_enhance,
 )
 
 
@@ -170,8 +171,8 @@ class TestFiberBatch:
     @pytest.mark.parametrize("case", list(CASES))
     def test_light_tv_columns_match_solo(self, case):
         a, y, cfg = self.batch(case)
-        x, report = light_reconstruct_enhance(y, a, cfg, threads=1, fibers=True)
-        solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg, threads=1) for j in range(y.shape[1])]
+        x, report = light_reconstruct_enhance(y, a, cfg, fibers=True)
+        solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg) for j in range(y.shape[1])]
         assert report.iterations == 2 == solo[0][1].iterations
         assert_matches_solo(x, [xs[:, 0, 0] for xs, _ in solo])
         # the ISTA stage stops each fiber where its solo run stops
@@ -187,9 +188,18 @@ class TestFiberBatch:
         if method == "sb-tv":
             solo = [split_bregman_l1tv(y[:, j].reshape(-1, 1, 1), a, cfg)[0] for j in range(y.shape[1])]
         else:
-            solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg, threads=1)[0]
+            solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg)[0]
                     for j in range(y.shape[1])]
         assert_matches_solo(x, [xs[:, 0, 0] for xs in solo])
+
+    def test_light_tv_batch_passes_mu_to_its_tv_stage(self):
+        a, y, _ = self.batch("default")
+        cfg = SolverConfig(mu=4.0)
+        rcfg = _batch_config(cfg, a, y)
+        stage, _ = _ista_matrix(y, a, rcfg)
+        expect = tv_denoise_enhance(stage, rcfg.lambda2, rcfg.inner_iters, mu=4.0, fibers=True)
+        assert np.array_equal(_solve_fiber_batch(y, a, "light-tv", cfg, None), expect)
+        assert not np.array_equal(expect, tv_denoise_enhance(stage, rcfg.lambda2, rcfg.inner_iters, fibers=True))
 
     def test_batch_config_matches_solo_configs(self):
         a, y, _ = self.batch("default")

@@ -141,6 +141,41 @@ class TestReconstruct:
         assert res.returncode == 2
         assert "step_size" in res.stderr
 
+    @pytest.mark.parametrize("text", ["5\n", '{"alpha": [1]}\n', '{"max_outer": "5"}\n'])
+    def test_malformed_config_exits_2_naming_the_file(self, tmp_path, text):
+        _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        res = run_cli(
+            "reconstruct", "--echo", echo, "--method", "fista",
+            "--config", cfg, "--out", tmp_path / "r.tsr3",
+        )
+        assert res.returncode == 2, res.stderr
+        assert f"error: {cfg}: solver config" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_null_config_value_takes_the_default(self, tmp_path):
+        _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lambda1": null, "max_outer": 3}\n')
+        res = run_cli(
+            "reconstruct", "--echo", echo, "--method", "fista",
+            "--config", cfg, "--out", tmp_path / "r.tsr3",
+        )
+        assert res.returncode == 0, res.stderr
+
+    def test_malformed_geometry_exits_2_naming_the_file(self, tmp_path):
+        _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
+        geom = tmp_path / "geometry.json"
+        geom.write_text("[1, 2, 3]\n")
+        res = run_cli(
+            "reconstruct", "--echo", echo, "--method", "fista",
+            "--geometry", geom, "--out", tmp_path / "r.tsr3",
+        )
+        assert res.returncode == 2, res.stderr
+        assert f"error: {geom}: geometry must be a JSON object" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_divergent_run_exits_3_with_trace(self, tmp_path):
         _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
         res = run_cli(
@@ -237,6 +272,18 @@ class TestReconstruct:
         )
         assert res.returncode == 0, res.stderr
         assert out_l.read_bytes() == out_i.read_bytes()
+
+    def test_parameter_file_without_blocks_exits_2(self, tmp_path):
+        _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
+        params = tmp_path / "params.json"
+        params.write_text('{"alpha": [0.1], "theta": [0.01]}\n')
+        res = run_cli(
+            "reconstruct", "--echo", echo, "--method", "lista",
+            "--params", params, "--out", tmp_path / "r.tsr3",
+        )
+        assert res.returncode == 2, res.stderr
+        assert f"error: {params}: missing parameter key 'blocks'" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_lista_without_params_exits_2(self, tmp_path):
         _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)

@@ -114,6 +114,23 @@ class TestGeometryDocument:
         with pytest.raises(ConfigurationError):
             fileio.read_geometry(path)
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: list(doc), "must be a JSON object, got list"),
+        (lambda doc: 5, "must be a JSON object, got int"),
+        (lambda doc: doc | {"wavelength_m": "0.031"}, "'wavelength_m' must be a number"),
+        (lambda doc: doc | {"wavelength_m": [0.031]}, "'wavelength_m' must be a number"),
+        (lambda doc: doc | {"reference_incidence_deg": True}, "'reference_incidence_deg' must be a number"),
+        (lambda doc: doc | {"baselines_m": 1.0}, "'baselines_m' must be a list of numbers"),
+        (lambda doc: doc | {"elevation_grid_m": [0.0, None]}, "'elevation_grid_m' must be a list of numbers"),
+    ], ids=["array", "scalar", "string", "list-for-number", "bool", "number-for-list", "null-in-list"])
+    def test_malformed_document_rejected_naming_the_file(self, tmp_path, change, message):
+        path = str(tmp_path / "g.json")
+        fileio.write_geometry(path, default_geometry())
+        fileio.write_json(path, change(fileio.read_json(path)))
+        with pytest.raises(ConfigurationError, match=message) as err:
+            fileio.read_geometry(path)
+        assert str(err.value).startswith(f"{path}: ")
+
 
 class TestPointCloudCsv:
     def test_roundtrip_exact(self, tmp_path):
@@ -160,6 +177,21 @@ class TestLearnedParamsDocument:
         fileio.write_json(path, {"blocks": 3, "alpha": [0.1], "theta": [0.2]})
         with pytest.raises(ConfigurationError):
             fileio.read_lista_params(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"alpha": [0.1], "theta": [0.2]}, "missing parameter key 'blocks'"),
+        ({"blocks": 1, "theta": [0.2]}, "missing parameter key 'alpha'"),
+        ([{"blocks": 1, "alpha": [0.1], "theta": [0.2]}], "must be a JSON object, got list"),
+        ({"blocks": "1", "alpha": [0.1], "theta": [0.2]}, "'blocks' must be a number"),
+        ({"blocks": 1, "alpha": ["0.1"], "theta": [0.2]}, "'alpha' must be a list of numbers"),
+        ({"blocks": 1, "alpha": [0.1], "theta": 0.2}, "'theta' must be a list of numbers"),
+    ], ids=["no-blocks", "no-alpha", "array", "string-blocks", "string-in-list", "number-for-list"])
+    def test_malformed_document_rejected_naming_the_file(self, tmp_path, doc, message):
+        path = str(tmp_path / "p.json")
+        fileio.write_json(path, doc)
+        with pytest.raises(ConfigurationError, match=message) as err:
+            fileio.read_lista_params(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestResolutionCurveCsv:

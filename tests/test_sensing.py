@@ -1,13 +1,9 @@
 """Array geometry, steering matrix, forward/adjoint operators, noise."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
 import tomosar
-from tomosar import sensing
 from tomosar.errors import ConfigurationError
 from tomosar.sensing import (
     DEFAULT_SLANT_RANGE_M,
@@ -252,48 +248,6 @@ class TestSpectralNorm:
     def test_never_exceeds_frobenius_sq(self):
         a = build_steering_matrix(default_geometry())
         assert spectral_norm_sq(a, iters=80) <= np.sum(np.abs(a) ** 2) + 1e-9
-
-    def test_repeat_call_is_memoised(self, monkeypatch):
-        a = build_steering_matrix(default_geometry(n_elevations=24))
-        first = spectral_norm_sq(a, iters=40)
-        calls = []
-        iterate = sensing._power_iteration
-        monkeypatch.setattr(sensing, "_power_iteration", lambda m, k: calls.append(k) or iterate(m, k))
-        assert spectral_norm_sq(a.copy(), iters=40) == first
-        assert calls == []
-        changed = a.copy()
-        changed[3, 5] *= 1.5
-        assert spectral_norm_sq(changed, iters=40) != first
-        assert spectral_norm_sq(a, iters=41) >= first
-        assert calls == [40, 41]
-
-    def test_memo_is_thread_safe_and_bounded(self):
-        # more threads than cores, each cycling through more matrices than
-        # the cache holds, with a short switch interval: every call must
-        # still return the value of an uncached power iteration
-        mats = [build_steering_matrix(default_geometry(n_elevations=8 + k)) for k in range(12)]
-        expect = [sensing._power_iteration(m, 30) for m in mats]
-        wrong = []
-
-        def work(offset):
-            for i in range(60):
-                k = (offset + i) % len(mats)
-                if spectral_norm_sq(mats[k], iters=30) != expect[k]:
-                    wrong.append(k)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(3 * j,)) for j in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
-        assert len(sensing._norm_cache) <= sensing._NORM_CACHE_SIZE
 
 
 class TestResolution:

@@ -509,7 +509,7 @@ class TestLightReconstruct:
         r = np.random.default_rng(15)
         y = r.standard_normal((a.shape[0], 4, 3)) + 1j * r.standard_normal((a.shape[0], 4, 3))
         cfg = SolverConfig(lambda2=0.0)
-        x_light, _ = light_reconstruct_enhance(y, a, cfg, threads=1)
+        x_light, _ = light_reconstruct_enhance(y, a, cfg)
         from tomosar.solvers import resolve_config, _ista_matrix
         rcfg = resolve_config(cfg, a, y)
         cols = [_ista_matrix(y[:, :, k], a, rcfg)[0] for k in range(3)]
@@ -529,24 +529,27 @@ class TestLightReconstruct:
         scene, _ = make_test_object("one_step", g, grid, seed=3)
         y = generate_echo(scene, a, snr_db=5.0, seed=3)
         cfg = SolverConfig(lambda2=0.0)
-        x_plain, _ = light_reconstruct_enhance(y, a, cfg, threads=1)
-        x_enh, _ = light_reconstruct_enhance(y, a, threads=1)
+        x_plain, _ = light_reconstruct_enhance(y, a, cfg)
+        x_enh, _ = light_reconstruct_enhance(y, a)
         assert tv_norm(x_enh) < tv_norm(x_plain)
 
-    def test_thread_count_invariance(self):
+    def test_mu_reaches_the_enhancement_stage(self):
         g = small_geometry()
         a = build_steering_matrix(g)
-        r = np.random.default_rng(16)
-        y = r.standard_normal((a.shape[0], 3, 6)) + 1j * r.standard_normal((a.shape[0], 3, 6))
-        x1, _ = light_reconstruct_enhance(y, a, threads=1)
-        x4, _ = light_reconstruct_enhance(y, a, threads=4)
-        assert np.array_equal(x1, x4)
+        r = np.random.default_rng(19)
+        y = r.standard_normal((a.shape[0], 4, 3)) + 1j * r.standard_normal((a.shape[0], 4, 3))
+        cfg = SolverConfig(mu=4.0)
+        x, _ = light_reconstruct_enhance(y, a, cfg)
+        rcfg = resolve_config(cfg, a, y)
+        stage = np.stack([_ista_matrix(y[:, :, k], a, rcfg)[0] for k in range(3)], axis=2)
+        assert np.array_equal(x, tv_denoise_enhance(stage, rcfg.lambda2, rcfg.inner_iters, mu=4.0))
+        assert not np.array_equal(x, light_reconstruct_enhance(y, a)[0])
 
     def test_report_has_two_stages(self):
         a = build_steering_matrix(small_geometry())
         r = np.random.default_rng(17)
         y = r.standard_normal((a.shape[0], 2, 2)) + 1j * r.standard_normal((a.shape[0], 2, 2))
-        _, report = light_reconstruct_enhance(y, a, threads=1)
+        _, report = light_reconstruct_enhance(y, a)
         assert report.iterations == 2
         assert len(report.objective_trace) == 2
 
@@ -691,7 +694,7 @@ class TestDivergenceGuard:
         a = build_steering_matrix(small_geometry())
         cfg = SolverConfig(alpha=50.0 / spectral_norm_sq(a))
         with pytest.raises(DivergenceError) as err:
-            reconstruct_tensor(self.echo(a), a, method, cfg=cfg, threads=1)
+            reconstruct_tensor(self.echo(a), a, method, cfg=cfg)
         msg = str(err.value)
         solver = "ista" if method == "light-tv" else method
         assert msg.startswith(f"{solver} at iteration ")
