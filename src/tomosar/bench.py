@@ -60,14 +60,13 @@ def detect_peaks(mag, rel_threshold=0.25, min_gap=1):
 def _solve_fiber_batch(y_batch, a, method, cfg, lista_params):
     """Reconstruct a batch of independent fibers (columns of y_batch).
 
-    Each fiber gets the thresholds its solo run would derive.  sb-tv and
-    light-tv solve the batch in one run in which every fiber also stops as
-    its solo run would; ista and fista stop the batch as a whole.
+    ista, fista, sb-tv and light-tv solve the batch in one run in which each
+    fiber gets the thresholds its solo run would derive and stops as its
+    solo run would, so it matches its solo solve to rounding; lista runs its
+    K blocks on every fiber.
     """
     if method in ("ista", "fista"):
-        rcfg = _batch_config(cfg, a, y_batch)
-        x, _ = _ista_matrix(y_batch, a, rcfg, variant=method, theta_cols=rcfg.alpha * rcfg.lambda1)
-        return x
+        return _ista_matrix(y_batch, a, _batch_config(cfg, a, y_batch), variant=method)[0]
     if method == "lista":
         if lista_params is None:
             raise ConfigurationError("method 'lista' requires trained parameters")

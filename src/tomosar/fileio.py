@@ -77,8 +77,12 @@ def write_json(path, obj):
 
 
 def read_json(path):
+    """A JSON document; ConfigurationError naming ``path`` if it is not valid JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: not valid JSON: {exc}") from None
 
 
 def read_json_object(path, what):
@@ -102,6 +106,14 @@ def number_field(path, obj, key, what, vector=False):
     return np.asarray(v, dtype=np.float64) if vector else float(v)
 
 
+def _build(path, cls, **fields):
+    """cls(**fields), naming ``path`` in the ConfigurationError it may raise."""
+    try:
+        return cls(**fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
 def write_geometry(path, g: SystemGeometry):
     write_json(
         path,
@@ -117,7 +129,9 @@ def write_geometry(path, g: SystemGeometry):
 
 def read_geometry(path) -> SystemGeometry:
     obj = read_json_object(path, "geometry")
-    return SystemGeometry(
+    return _build(
+        path,
+        SystemGeometry,
         wavelength_m=number_field(path, obj, "wavelength_m", "geometry"),
         baselines_m=number_field(path, obj, "baselines_m", "geometry", vector=True),
         reference_slant_range_m=number_field(path, obj, "reference_slant_range_m", "geometry"),
@@ -166,7 +180,9 @@ def read_lista_params(path):
     from .solvers import LearnedIstaParams
 
     obj = read_json_object(path, "parameter file")
-    params = LearnedIstaParams(
+    params = _build(
+        path,
+        LearnedIstaParams,
         alpha=number_field(path, obj, "alpha", "parameter", vector=True),
         theta=number_field(path, obj, "theta", "parameter", vector=True),
     )

@@ -452,13 +452,6 @@ def make_test_object(kind: str, g: SystemGeometry, grid: GridSpec, seed: int = 0
         model = BuildingModel.preset(bkind)
         spacing = float(params.get("spacing_m", 0.5))
         cloud = normalize(generate_building(model, spacing, seed))
-        if params.get("augment", False):
-            cloud = augment(
-                cloud,
-                params.get("scale_range", (0.7, 1.0)),
-                params.get("translate_range", (-0.1, 0.1)),
-                seed,
-            )
         t, info = project_to_grid(cloud, g, grid, seed, scene_size_m=params.get("scene_size_m"))
         occupied = np.argwhere(np.abs(t) > 0)
         meta.update({"building_kind": bkind, "spacing_m": spacing, "true_voxels": occupied.tolist()})

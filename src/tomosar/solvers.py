@@ -86,6 +86,9 @@ def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9)
     an explicit cfg.alpha always wins.
     """
     cfg = cfg or SolverConfig()
+    for name in ("max_outer", "inner_iters"):
+        if not float(getattr(cfg, name)).is_integer():
+            raise ConfigurationError(f"{name} must be a whole number, got {getattr(cfg, name)!r}")
     y2d = np.asarray(y, dtype=np.complex128).reshape(a.shape[0], -1)
     alpha = cfg.alpha
     if alpha is None:
@@ -226,11 +229,13 @@ def _iterate(step, x, objective, sigma, max_outer, solver):
     An objective that returns one value per fiber (column of ``x`` viewed by
     :func:`_columns`) poses that many independent problems, iterated side by
     side: each column stops on its own relative change, is guarded against
-    its own start objective (the error then also names the column) and
-    keeps its value from its own stop iteration.  The report's iterations
-    count the steps the batch ran, it is converged only if every column is,
-    its traces hold one list over the columns per iteration, and
-    ``column_iterations`` holds each column's own count.
+    its own start objective (the error then also names the column and gives
+    that column's objective) and keeps its value from its own stop
+    iteration.  The report's iterations count the steps the batch ran, it is
+    converged only if every column is, and ``column_iterations`` holds each
+    column's own count.  Its traces keep one float per iteration: the batch
+    objective (the sum over the columns) and the largest relative change
+    among the columns still running; a DivergenceError carries the former.
     """
     obj0 = objective(x)
     batch = np.ndim(obj0) > 0
@@ -245,17 +250,19 @@ def _iterate(step, x, objective, sigma, max_outer, solver):
     for it in range(max_outer):
         x_new = step(x)
         rel = _column_rel_change(_columns(x_new), _columns(x)) if batch else _rel_change(x_new, x)
-        rel_trace.append(rel)
         x = x_new
         obj = objective(x)
-        obj_trace.append(obj)
         # Python scalars for a single problem: its checks run every
         # iteration of thousands of small slice solves
         if batch:
             iters[active] = it + 1
+            rel_trace.append(float(np.max(rel[active])))
+            obj_trace.append(float(np.sum(obj)))
             diverged = active & (~np.isfinite(obj) | ((obj0 > 0) & (obj > 10.0 * obj0)))
             stopped = active & (rel < sigma)
         else:
+            rel_trace.append(rel)
+            obj_trace.append(obj)
             diverged = not math.isfinite(obj) or (obj0 > 0 and obj > 10.0 * obj0)
             stopped = rel < sigma
         if (diverged.any() if batch else diverged):
@@ -264,8 +271,7 @@ def _iterate(step, x, objective, sigma, max_outer, solver):
             why = f"exceeded 10x its initial value {o0:.3e}" if math.isfinite(o) else "is not finite"
             where = f", column {j}" if batch else ""
             raise DivergenceError(
-                f"{solver} at iteration {it}{where}: objective {o:.3e} {why}",
-                objective_trace=[float(v[j]) for v in obj_trace] if batch else obj_trace,
+                f"{solver} at iteration {it}{where}: objective {o:.3e} {why}", objective_trace=obj_trace
             )
         if batch:
             _columns(frozen)[:, stopped] = _columns(x)[:, stopped]
@@ -277,8 +283,6 @@ def _iterate(step, x, objective, sigma, max_outer, solver):
     if batch:
         _columns(frozen)[:, active] = _columns(x)[:, active]
         x = frozen
-        obj_trace = [v.tolist() for v in obj_trace]
-        rel_trace = [v.tolist() for v in rel_trace]
     report = SolverReport(
         iterations=len(obj_trace),
         objective_trace=obj_trace,
@@ -321,28 +325,22 @@ def _batch_objective(x, resid, lam, per_column):
     return data + float(np.sum(lam * col_l1))
 
 
-def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista", theta_cols=None):
-    """Batched proximal-gradient solve on an (n_z, m) iterate.
+def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
+    """Proximal-gradient solve on an (n_z, m) iterate.
 
     With a fiber-batch config (per-column lambda1, see :func:`_batch_config`)
     the columns are independent problems, each with threshold alpha *
-    lambda1 of its own and its own stop (:func:`_iterate`).  Otherwise the
-    batch is one problem with one stop on its whole relative change, and
-    ``theta_cols`` optionally carries a per-column threshold array (shape
-    (m,)) in place of the scalar alpha * lambda1.
+    lambda1 of its own and its own stop (:func:`_iterate`), so each column
+    matches its solo solve.  With a scalar lambda1 the columns form one
+    problem with one stop on its whole relative change.
     """
     if variant not in ("ista", "fista"):
         raise ConfigurationError(f"unknown variant {variant!r}")
     ah = a.conj().T
-    m = y2d.shape[1]
-    if theta_cols is None:
-        theta = rcfg.alpha * rcfg.lambda1
-        lam = rcfg.lambda1
-    else:
-        theta = np.asarray(theta_cols, dtype=np.float64).reshape(1, m)
-        lam = theta[0] / rcfg.alpha
-    per_column = theta_cols is None and np.ndim(lam) > 0
-    x0 = np.zeros((a.shape[1], m), dtype=np.complex128)
+    lam = rcfg.lambda1
+    theta = rcfg.alpha * lam
+    per_column = np.ndim(lam) > 0
+    x0 = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
     # fista's extrapolated point (the start until the first step) and momentum
     z, t_k = x0, 1.0
     # the last iterate the objective saw and its residual y2d - a @ x
@@ -374,27 +372,19 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista", theta_cols=None):
     return _iterate(step, x0, objective, rcfg.sigma, rcfg.max_outer, variant)
 
 
-def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista", debias=False):
+def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista"):
     """Solve the l1 problem on a single echo fiber.
 
     variant "fista" adds the standard two-point momentum with t_1 = 1,
-    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2.  With ``debias`` the recovered
-    support gets a least-squares amplitude refit.  Returns (fiber, report);
-    a run that hits max_outer returns its iterate with converged = False.
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2.  Returns (fiber, report); a run
+    that hits max_outer returns its iterate with converged = False.
     """
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     if y.shape[0] != a.shape[0]:
         raise ValueError(f"fiber length {y.shape[0]} does not match matrix rows {a.shape[0]}")
     rcfg = resolve_config(cfg, a, y)
     x2d, report = _ista_matrix(y[:, None], a, rcfg, variant=variant)
-    x = x2d[:, 0]
-    if debias:
-        support = np.abs(x) > 0
-        if np.any(support):
-            coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
-            x = x.copy()
-            x[support] = coef
-    return x, report
+    return x2d[:, 0], report
 
 
 def objective_eval(x, y, a, lambda1, lambda2):
@@ -418,9 +408,7 @@ def _fiber_objective(x, y, a, lambda1, lambda2):
     """:func:`objective_eval` of each fiber of a batch (the columns of 2-D x
     and y) alone; lambda1 and lambda2 may hold one value per fiber.
     """
-    resid = a @ x
-    np.subtract(y, resid, out=resid)
-    return 0.5 * np.sum(np.abs(resid) ** 2, axis=0) + lambda1 * np.sum(np.abs(x), axis=0) + lambda2 * _fiber_tv(x)
+    return _batch_objective(x, _residual(x, y, a), lambda1, per_column=True) + lambda2 * _fiber_tv(x)
 
 
 def _sweep_buffers(dims):
@@ -428,11 +416,21 @@ def _sweep_buffers(dims):
     return tuple(np.empty(dims, dtype=np.complex128) for _ in range(5))
 
 
-def _fiber_batch(t, fibers):
-    """Whether t is a batch of fibers; raises ValueError unless it is 2-D then."""
+def _as_volume(t, fibers, rows=None):
+    """(t as complex128, its order-3 view); a batch of fibers (2-D, with
+    ``fibers``) is viewed with a trailing axis of extent 1.
+
+    Raises ValueError unless the view is a nonempty order-3 tensor and, if
+    ``rows`` is given, t has that many rows.
+    """
+    t = np.asarray(t, dtype=np.complex128)
     if fibers and (t.ndim != 2 or t.size == 0):
         raise ValueError(f"expected a nonempty (n, fibers) batch, got shape={t.shape}")
-    return bool(fibers)
+    t3 = t[:, :, None] if fibers else t
+    tensor._check3d(t3)
+    if rows is not None and t.shape[0] != rows:
+        raise ValueError(f"echo channel extent {t.shape[0]} does not match matrix rows {rows}")
+    return t, t3
 
 
 def _no_diff(t, axis, out):
@@ -516,15 +514,9 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
     ``y[:, j].reshape(-1, 1, 1)``, and so its result up to rounding; a batch
     report has no feasibility-gap trace.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    batch = _fiber_batch(y, fibers)
-    y3 = y[:, :, None] if batch else y
-    tensor._check3d(y3)
-    n_e, n_z = a.shape
-    if y.shape[0] != n_e:
-        raise ValueError(f"echo channel extent {y.shape[0]} does not match matrix rows {n_e}")
-    dims = (n_z, y3.shape[1], y3.shape[2])
-    if batch:
+    y, y3 = _as_volume(y, fibers, a.shape[0])
+    dims = (a.shape[1], y3.shape[1], y3.shape[2])
+    if fibers:
         # the fibers lie side by side along axis 1, one threshold each
         rcfg = _batch_config(cfg, a, y, alpha_factor=1.8)
         lam1, lam2 = (lam.reshape(1, -1, 1) for lam in (rcfg.lambda1, rcfg.lambda2))
@@ -535,7 +527,7 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
         objective = lambda x: objective_eval(x, y, a, rcfg.lambda1, rcfg.lambda2)
     x_i, v_i, b_i = ([np.zeros(dims, dtype=np.complex128) for _ in range(3)] for _ in range(3))
     bufs = _sweep_buffers(dims)
-    gap_trace = None if batch else []
+    gap_trace = None if fibers else []
 
     def step(x):
         # z = x - alpha * A^H (A x - y)
@@ -546,9 +538,9 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
         np.subtract(x, z, out=z)
         x_new = _split_sweep(
             z, x_i, v_i, b_i, bufs, rcfg.alpha, lam1, lam2,
-            rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters, batch_axis=1 if batch else None,
+            rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters, batch_axis=1 if fibers else None,
         )
-        if not batch:
+        if not fibers:
             d = bufs[2]
             gap_trace.append(sum(
                 tensor.frobenius(np.subtract(tensor.diff(x_i[ax], ax, out=d), v_i[ax], out=d)) for ax in range(3)
@@ -559,7 +551,7 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
         step, np.zeros(dims, dtype=np.complex128), objective, rcfg.sigma, rcfg.max_outer, "sb-tv"
     )
     report.feasibility_gap_trace = gap_trace
-    return (x[:, :, 0] if batch else x), report
+    return (x[:, :, 0] if fibers else x), report
 
 
 def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10, *, fibers=False):
@@ -577,13 +569,10 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10, *, fibers=F
     value per fiber, and a fiber with lambda2 = 0 or no variation is
     returned unchanged.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    batch = _fiber_batch(x, fibers)
-    x3 = x[:, :, None] if batch else x
-    tensor._check3d(x3)
+    x, x3 = _as_volume(x, fibers)
     if np.any(np.asarray(lambda2) < 0):
         raise ConfigurationError(f"lambda2 must be >= 0, got {lambda2}")
-    if batch:
+    if fibers:
         lam = np.broadcast_to(np.asarray(lambda2, dtype=np.float64), x.shape[1:])
         keep = (lam != 0.0) & (_fiber_tv(x) != 0.0)
     else:
@@ -595,16 +584,16 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10, *, fibers=F
     tau1 = 1.0 / (1.0 + 8.0 * mu)
     tau2 = 1.0 / mu
     # a batch denoises only its kept fibers, side by side along axis 1
-    p0, lam = (x3[:, keep], lam[keep].reshape(1, -1, 1)) if batch else (x, lambda2)
+    p0, lam = (x3[:, keep], lam[keep].reshape(1, -1, 1)) if fibers else (x, lambda2)
     u_i = [p0.copy() for _ in range(3)]
     v_i = [np.zeros_like(p0) for _ in range(3)]
     b_i = [np.zeros_like(p0) for _ in range(3)]
     bufs = _sweep_buffers(p0.shape)
     for _ in range(passes):
         out = _split_sweep(
-            p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters, batch_axis=1 if batch else None
+            p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters, batch_axis=1 if fibers else None
         )
-    if not batch:
+    if not fibers:
         return out
     res = x.copy()
     res[:, keep] = out[:, :, 0]
@@ -626,14 +615,8 @@ def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None, *, fibers=F
     stop of its solo solve as ``y[:, j].reshape(-1, 1, 1)``, and the
     report's traces one value per fiber.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    batch = _fiber_batch(y, fibers)
-    y3 = y[:, :, None] if batch else y
-    tensor._check3d(y3)
-    n_e, n_z = a.shape
-    if y.shape[0] != n_e:
-        raise ValueError(f"echo channel extent {y.shape[0]} does not match matrix rows {n_e}")
-    rcfg = _batch_config(cfg, a, y) if batch else resolve_config(cfg, a, y)
+    y, y3 = _as_volume(y, fibers, a.shape[0])
+    rcfg = _batch_config(cfg, a, y) if fibers else resolve_config(cfg, a, y)
     n_y = y3.shape[2]
     t0 = time.perf_counter()
 
@@ -643,12 +626,12 @@ def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None, *, fibers=F
     # one worker: the 64-column slice solves hold the GIL, and at 64^3 two
     # workers measured 3.2-4.6 s against 3.1-3.5 s for one
     results = run_indexed(solve_slice, range(n_y), workers=1)
-    x = results[0][0] if batch else np.stack([r[0] for r in results], axis=2)
-    objective = _fiber_objective if batch else objective_eval
+    x = results[0][0] if fibers else np.stack([r[0] for r in results], axis=2)
+    objective = _fiber_objective if fibers else objective_eval
     obj_pre = objective(x, y, a, rcfg.lambda1, rcfg.lambda2)
-    x_enh = tv_denoise_enhance(x, rcfg.lambda2, inner_iters=rcfg.inner_iters, mu=rcfg.mu, fibers=batch)
+    x_enh = tv_denoise_enhance(x, rcfg.lambda2, inner_iters=rcfg.inner_iters, mu=rcfg.mu, fibers=fibers)
     obj_post = objective(x_enh, y, a, rcfg.lambda1, rcfg.lambda2)
-    rel_change = _column_rel_change if batch else _rel_change
+    rel_change = _column_rel_change if fibers else _rel_change
     rel = (rel_change(x, np.zeros_like(x)), rel_change(x_enh, x))
     report = SolverReport(
         iterations=2,

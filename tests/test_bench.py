@@ -23,6 +23,7 @@ from tomosar.solvers import (
     SolverConfig,
     _batch_config,
     _ista_matrix,
+    ista_fiber,
     light_reconstruct_enhance,
     resolve_config,
     split_bregman_l1tv,
@@ -129,7 +130,8 @@ def assert_matches_solo(x_batch, x_solo):
 
 
 class TestFiberBatch:
-    """A batched sb-tv / light-tv fiber solve equals the solo solve of each fiber.
+    """A batched ista / fista / sb-tv / light-tv fiber solve equals the solo
+    solve of each fiber.
 
     Not bit for bit: the batch multiplies by A as one matrix product (gemm)
     where a solo fiber takes a matrix-vector product (gemv).
@@ -151,6 +153,20 @@ class TestFiberBatch:
         if zero is not None:
             y[:, zero] = 0.0
         return a, y, cfg
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("variant", ["ista", "fista"])
+    def test_ista_columns_match_solo(self, variant, case):
+        a, y, cfg = self.batch(case)
+        x, report = _ista_matrix(y, a, _batch_config(cfg, a, y), variant=variant)
+        solo = [ista_fiber(y[:, j], a, cfg, variant=variant) for j in range(y.shape[1])]
+        assert report.column_iterations == [r.iterations for _, r in solo]
+        assert report.iterations == max(report.column_iterations)
+        assert report.converged == all(r.converged for _, r in solo)
+        assert all(isinstance(v, float) for v in report.objective_trace + report.rel_change_trace)
+        assert_matches_solo(x, [xs for xs, _ in solo])
+        if case == "zero-column":
+            assert report.column_iterations[1] == 1 and not np.any(x[:, 1])
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_sb_tv_columns_match_solo(self, case):
@@ -181,16 +197,21 @@ class TestFiberBatch:
                     for j in range(y.shape[1])]
         assert ista.column_iterations == solo_its
 
-    @pytest.mark.parametrize("method", ["sb-tv", "light-tv"])
+    @pytest.mark.parametrize("method", ["ista", "fista", "sb-tv", "light-tv"])
     def test_resolution_batch_is_the_fiber_solve(self, method):
         a, y, cfg = self.batch("default")
         x = _solve_fiber_batch(y, a, method, cfg, None)
-        if method == "sb-tv":
-            solo = [split_bregman_l1tv(y[:, j].reshape(-1, 1, 1), a, cfg)[0] for j in range(y.shape[1])]
+        if method in ("ista", "fista"):
+            solo = [ista_fiber(y[:, j], a, cfg, variant=method) for j in range(y.shape[1])]
+            _, report = _ista_matrix(y, a, _batch_config(cfg, a, y), variant=method)
+            assert report.column_iterations == [r.iterations for _, r in solo]
+            solo = [xs for xs, _ in solo]
+        elif method == "sb-tv":
+            solo = [split_bregman_l1tv(y[:, j].reshape(-1, 1, 1), a, cfg)[0][:, 0, 0] for j in range(y.shape[1])]
         else:
-            solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg)[0]
+            solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg)[0][:, 0, 0]
                     for j in range(y.shape[1])]
-        assert_matches_solo(x, [xs[:, 0, 0] for xs in solo])
+        assert_matches_solo(x, solo)
 
     def test_light_tv_batch_passes_mu_to_its_tv_stage(self):
         a, y, _ = self.batch("default")
@@ -220,7 +241,9 @@ class TestFiberBatch:
 
 
 class TestFiberBatchDivergence:
-    @pytest.mark.parametrize("method, solver", [("sb-tv", "sb-tv"), ("light-tv", "ista")])
+    @pytest.mark.parametrize("method, solver", [
+        ("ista", "ista"), ("fista", "fista"), ("sb-tv", "sb-tv"), ("light-tv", "ista"),
+    ])
     def test_error_names_the_column(self, method, solver):
         a = build_steering_matrix(default_geometry())
         y = fiber_echoes(a, 1.0, 3)
@@ -232,10 +255,11 @@ class TestFiberBatchDivergence:
         assert msg.startswith(f"{solver} at iteration ")
         assert ", column 1: objective " in msg
         it = int(msg.split("iteration ")[1].split(",")[0])
+        # the trace is the batch objective, one float per iteration
         trace = err.value.objective_trace
         assert len(trace) == it + 1 and all(isinstance(v, float) for v in trace)
 
-    @pytest.mark.parametrize("method", ["sb-tv", "light-tv"])
+    @pytest.mark.parametrize("method", ["ista", "fista", "sb-tv", "light-tv"])
     def test_resolution_curve_raises(self, method):
         g = default_geometry()
         with pytest.raises(DivergenceError, match=r"at iteration \d+, column \d+: objective"):

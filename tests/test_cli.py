@@ -154,6 +154,32 @@ class TestReconstruct:
         assert f"error: {cfg}: solver config" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("flag", ["--config", "--geometry", "--params"])
+    def test_broken_json_exits_2_naming_the_file(self, tmp_path, flag):
+        _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"max_outer": 2')
+        res = run_cli(
+            "reconstruct", "--echo", echo, "--method", "lista" if flag == "--params" else "fista",
+            flag, bad, "--out", tmp_path / "r.tsr3",
+        )
+        assert res.returncode == 2, res.stderr
+        assert f"error: {bad}: not valid JSON: Expecting ',' delimiter" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("text", ['{"max_outer": 2.7}\n', '{"inner_iters": 1.5}\n'])
+    def test_fractional_iteration_count_exits_2(self, tmp_path, text):
+        _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        res = run_cli(
+            "reconstruct", "--echo", echo, "--method", "ista",
+            "--config", cfg, "--out", tmp_path / "r.tsr3",
+        )
+        assert res.returncode == 2, res.stderr
+        assert "must be a whole number" in res.stderr
+        assert not (tmp_path / "r.tsr3").exists()
+
     def test_null_config_value_takes_the_default(self, tmp_path):
         _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
         cfg = tmp_path / "cfg.json"
@@ -199,7 +225,7 @@ class TestReconstruct:
         assert f"solver diverged: {solver} at iteration " in res.stderr
         assert not (tmp_path / "r.tsr3").exists()
 
-    @pytest.mark.parametrize("method", ["sb-tv", "light-tv"])
+    @pytest.mark.parametrize("method", ["ista", "fista", "sb-tv", "light-tv"])
     def test_oversized_step_in_resolution_test_exits_3(self, tmp_path, method):
         res = run_cli(
             "resolution-test", "--method", method, "--alpha", "1.0", "--trials", "2",

@@ -91,6 +91,14 @@ class TestJson:
         fileio.write_json(path, {"psnr_db": float("inf")})
         assert fileio.read_json(path)["psnr_db"] == float("inf")
 
+    def test_syntax_error_names_the_file(self, tmp_path):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            fh.write('{"max_outer": 2')
+        with pytest.raises(ConfigurationError, match="not valid JSON: Expecting ',' delimiter") as err:
+            fileio.read_json(path)
+        assert str(err.value).startswith(f"{path}: ")
+
 
 class TestGeometryDocument:
     def test_exact_keys(self, tmp_path):
@@ -122,7 +130,11 @@ class TestGeometryDocument:
         (lambda doc: doc | {"reference_incidence_deg": True}, "'reference_incidence_deg' must be a number"),
         (lambda doc: doc | {"baselines_m": 1.0}, "'baselines_m' must be a list of numbers"),
         (lambda doc: doc | {"elevation_grid_m": [0.0, None]}, "'elevation_grid_m' must be a list of numbers"),
-    ], ids=["array", "scalar", "string", "list-for-number", "bool", "number-for-list", "null-in-list"])
+        (lambda doc: doc | {"wavelength_m": -0.031}, "wavelength must be positive"),
+        (lambda doc: doc | {"baselines_m": [0.0]}, "need at least 2 baselines"),
+        (lambda doc: doc | {"elevation_grid_m": [1.0, 0.0]}, "elevation grid must be strictly increasing"),
+    ], ids=["array", "scalar", "string", "list-for-number", "bool", "number-for-list", "null-in-list",
+            "negative-wavelength", "one-baseline", "decreasing-grid"])
     def test_malformed_document_rejected_naming_the_file(self, tmp_path, change, message):
         path = str(tmp_path / "g.json")
         fileio.write_geometry(path, default_geometry())
@@ -185,7 +197,10 @@ class TestLearnedParamsDocument:
         ({"blocks": "1", "alpha": [0.1], "theta": [0.2]}, "'blocks' must be a number"),
         ({"blocks": 1, "alpha": ["0.1"], "theta": [0.2]}, "'alpha' must be a list of numbers"),
         ({"blocks": 1, "alpha": [0.1], "theta": 0.2}, "'theta' must be a list of numbers"),
-    ], ids=["no-blocks", "no-alpha", "array", "string-blocks", "string-in-list", "number-for-list"])
+        ({"blocks": 1, "alpha": [-0.1], "theta": [0.1]}, "learned parameters must be nonnegative"),
+        ({"blocks": 1, "alpha": [0.1], "theta": [0.1, 0.2]}, "alpha and theta must be equal-length"),
+    ], ids=["no-blocks", "no-alpha", "array", "string-blocks", "string-in-list", "number-for-list",
+            "negative", "unequal-lengths"])
     def test_malformed_document_rejected_naming_the_file(self, tmp_path, doc, message):
         path = str(tmp_path / "p.json")
         fileio.write_json(path, doc)
