@@ -374,14 +374,35 @@ def _paint_segments(t, segments):
     return t
 
 
+# the keyword parameters each kind of test object accepts
+_OBJECT_PARAMS = {
+    "two_scatterers": ("separation_rho",),
+    "one_step": (),
+    "multi_step": ("n_steps",),
+    "building": ("spacing_m", "scene_size_m"),
+}
+
+
 def make_test_object(kind: str, g: SystemGeometry, grid: GridSpec, seed: int = 0, **params):
     """Canonical ground-truth tensors for the benchmark tests.
 
     Kinds: "two_scatterers" (param separation_rho in multiples of the
-    Rayleigh resolution), "one_step", "multi_step" (axis-aligned voxel
-    structures), and "building:<kind>" (full point-cloud pipeline).  Returns
-    (scene tensor, metadata dict); metadata lists the true scatterer voxels.
+    Rayleigh resolution), "one_step", "multi_step" (param n_steps;
+    axis-aligned voxel structures), and "building:<kind>" (params spacing_m,
+    scene_size_m; full point-cloud pipeline).  A parameter the kind does not
+    accept raises ConfigurationError.  Returns (scene tensor, metadata
+    dict); metadata lists the true scatterer voxels.
     """
+    accepted = _OBJECT_PARAMS.get("building" if kind.startswith("building:") else kind)
+    if accepted is None:
+        raise ConfigurationError(
+            f"unknown test object {kind!r}; expected two_scatterers, one_step, multi_step, or building:<kind>"
+        )
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"test object {kind!r} has no parameter {unknown[0]!r}; it accepts {', '.join(accepted) or 'none'}"
+        )
     n_z, n_x, n_y = grid.dims
     meta = {"kind": kind, "seed": int(seed)}
 
@@ -457,10 +478,6 @@ def make_test_object(kind: str, g: SystemGeometry, grid: GridSpec, seed: int = 0
         meta.update({"building_kind": bkind, "spacing_m": spacing, "true_voxels": occupied.tolist()})
         meta.update(info)
         return t, meta
-
-    raise ConfigurationError(
-        f"unknown test object {kind!r}; expected two_scatterers, one_step, multi_step, or building:<kind>"
-    )
 
 
 def make_fiber_dataset(a: np.ndarray, n_fibers: int, seed: int, snr_db: float = 5.0, max_scatterers: int = 3):

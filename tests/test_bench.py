@@ -197,6 +197,18 @@ class TestFiberBatch:
                     for j in range(y.shape[1])]
         assert ista.column_iterations == solo_its
 
+    def test_light_tv_batch_report_keeps_one_float_per_stage(self):
+        a, y, cfg = self.batch("early-and-capped")
+        _, report = light_reconstruct_enhance(y, a, cfg, fibers=True)
+        solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg)[1] for j in range(y.shape[1])]
+        assert all(isinstance(v, float) for v in report.objective_trace + report.rel_change_trace)
+        assert len(report.objective_trace) == len(report.rel_change_trace) == 2
+        for stage in range(2):
+            obj = sum(r.objective_trace[stage] for r in solo)
+            assert report.objective_trace[stage] == pytest.approx(obj, rel=1e-9)
+            rel = max(r.rel_change_trace[stage] for r in solo)
+            assert report.rel_change_trace[stage] == pytest.approx(rel, rel=1e-9)
+
     @pytest.mark.parametrize("method", ["ista", "fista", "sb-tv", "light-tv"])
     def test_resolution_batch_is_the_fiber_solve(self, method):
         a, y, cfg = self.batch("default")

@@ -432,6 +432,19 @@ class TestTrainLista:
         losses = [float(l.split(",")[1]) for l in loss_lines[1:]]
         assert all(losses[i + 1] <= losses[i] + 1e-15 for i in range(len(losses) - 1))
 
+    def test_bytes_independent_of_thread_count(self, tmp_path):
+        files = []
+        for threads in ("1", "2"):
+            params = tmp_path / f"params_{threads}.json"
+            loss = tmp_path / f"loss_{threads}.csv"
+            res = run_cli(
+                "train-lista", "--fibers", "40", "--epochs", "5", "--blocks", "4",
+                "--out-params", params, "--out-loss", loss, env_extra={"TOMOSAR_THREADS": threads},
+            )
+            assert res.returncode == 0, res.stderr
+            files.append((params.read_bytes(), loss.read_bytes()))
+        assert files[0] == files[1]
+
     def test_bad_fibers_exit_2(self, tmp_path):
         res = run_cli("train-lista", "--fibers", "0", "--out-params", tmp_path / "p.json")
         assert res.returncode == 2

@@ -364,6 +364,18 @@ class TestMakeTestObject:
         with pytest.raises(ConfigurationError):
             make_test_object("sphere", g, grid)
 
+    @pytest.mark.parametrize("kind, key, accepted", [
+        # a typo for separation_rho, and the removed augmentation switch
+        ("two_scatterers", "separation", "separation_rho"),
+        ("building:box", "augment", "spacing_m, scene_size_m"),
+        ("one_step", "n_steps", "none"),
+    ])
+    def test_unknown_parameter_rejected(self, kind, key, accepted):
+        g = default_geometry()
+        grid = default_grid(n_x=8, n_y=8)
+        with pytest.raises(ConfigurationError, match=f"no parameter '{key}'; it accepts {accepted}$"):
+            make_test_object(kind, g, grid, **{key: 0.3})
+
     @pytest.mark.parametrize("kind", [
         "two_scatterers", "one_step", "multi_step",
         "building:box", "building:l_shape", "building:one_step",

@@ -20,6 +20,8 @@ from tomosar.solvers import (
     LearnedIstaParams,
     SolverConfig,
     _ista_matrix,
+    _lista_gradient,
+    _unrolled_infer,
     ista_fiber,
     light_reconstruct_enhance,
     lista_infer,
@@ -611,6 +613,15 @@ class TestLearnedIsta:
         alpha0 = 0.9 / spectral_norm_sq(a)
         assert params.alpha == pytest.approx(np.full(3, alpha0))
 
+    def test_step_below_backtracking_floor_keeps_init(self):
+        a = build_steering_matrix(small_geometry())
+        from tomosar.simulate import make_fiber_dataset
+        y2d, x2d = make_fiber_dataset(a, 10, seed=6, snr_db=10.0)
+        p0, t0 = lista_train(a, (y2d, x2d), k_blocks=3, epochs=0)
+        params, trace = lista_train(a, (y2d, x2d), k_blocks=3, epochs=4, lr=1e-13)
+        assert trace == t0 * 5
+        assert np.array_equal(params.alpha, p0.alpha) and np.array_equal(params.theta, p0.theta)
+
     def test_training_deterministic(self):
         g = small_geometry()
         a = build_steering_matrix(g)
@@ -637,6 +648,50 @@ class TestLearnedIsta:
         a = build_steering_matrix(small_geometry())
         with pytest.raises(ConfigurationError):
             lista_train(a, [], k_blocks=2, epochs=1)
+
+    @pytest.mark.parametrize("rows", [(6, 1), (5, 8)])
+    def test_mis_shaped_dataset_rejected(self, rows):
+        a = build_steering_matrix(small_geometry())
+        r = np.random.default_rng(3)
+        y2d, x2d = (r.standard_normal((n, 4)) + 0j for n in rows)
+        with pytest.raises(ConfigurationError, match="do not match the 6x8 matrix"):
+            lista_train(a, (y2d, x2d), k_blocks=2, epochs=1)
+
+    @pytest.mark.parametrize("geometry", [default_geometry, small_geometry])
+    @pytest.mark.parametrize("on_zero", [None, "alpha", "theta"])
+    def test_gradient_matches_finite_differences(self, geometry, on_zero):
+        a = build_steering_matrix(geometry())
+        from tomosar.simulate import make_fiber_dataset
+        y2d, x2d = make_fiber_dataset(a, 500, seed=1, snr_db=5.0)
+        # training's starting point, each scalar scaled by its own factor
+        r = np.random.default_rng(1)
+        lam0 = 0.05 * np.mean(np.max(np.abs(a.conj().T @ y2d), axis=0))
+        alpha = 0.9 / spectral_norm_sq(a) * r.uniform(0.5, 1.5, 9)
+        theta = alpha * lam0 * r.uniform(0.5, 2.0, 9)
+        # a scalar on the nonnegativity boundary, where the oracle is one-sided
+        if on_zero == "alpha":
+            alpha[1] = 0.0
+        if on_zero == "theta":
+            theta[2] = 0.0
+        params = LearnedIstaParams(alpha=alpha, theta=theta)
+        tape = []
+        _unrolled_infer(y2d, a, params, tape)
+        grad = _lista_gradient(y2d, x2d, a, params, tape)
+        fd = reference.lista_grad_fd(y2d, x2d, a, alpha, theta)
+        assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+    def test_tape_holds_each_block_before_its_shrink(self):
+        a = build_steering_matrix(default_geometry())
+        from tomosar.simulate import make_fiber_dataset
+        y2d, _ = make_fiber_dataset(a, 30, seed=2, snr_db=5.0)
+        alpha = 0.9 / spectral_norm_sq(a)
+        params = LearnedIstaParams.equivalence(4, alpha, 0.4)
+        tape = []
+        x = _unrolled_infer(y2d, a, params, tape)
+        assert len(tape) == 4 and all(z.shape == x.shape for z in tape)
+        assert np.max(np.abs(tape[0] - alpha * (a.conj().T @ y2d))) < 1e-12
+        assert x.tobytes() == soft_threshold(tape[-1], params.theta[-1]).tobytes()
+        assert x.tobytes() == _unrolled_infer(y2d, a, params).tobytes()
 
 
 class TestReconstructDispatch:
