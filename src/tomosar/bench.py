@@ -2,8 +2,9 @@
 the structure reconstruction tests.
 
 Trials and their RNG substreams are derived from (seed, separation index,
-trial index), and parallel fan-out happens over fixed work units, so every
-output is byte-identical across runs and worker counts.
+trial index), and parallel fan-out happens over work units fixed by the
+study alone, so every output is byte-identical across runs and worker
+counts.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import fileio
 from ._pool import run_indexed
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .metrics import evaluate_tensors, timed
 from .sensing import build_steering_matrix, complex_noise, fiber_rng, noise_sigma
 from .simulate import GridSpec, generate_echo, make_test_object
@@ -27,6 +28,11 @@ from .solvers import (
 )
 
 DEFAULT_SEPARATIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
+
+# The widest column batch of a resolution study.  Per column-iteration
+# (OPENBLAS_NUM_THREADS=1), sb-tv took 208 us at 5 columns, 33-35 us at
+# 200-1000 and 44 us at 4000; fista 36, 3.6-3.9 and 4.3 us.
+UNIT_COLUMNS = 512
 
 
 def detect_peaks(mag, rel_threshold=0.25, min_gap=1):
@@ -78,6 +84,22 @@ def _solve_fiber_batch(y_batch, a, method, cfg, lista_params):
     raise ConfigurationError(f"unknown method {method!r}")
 
 
+def _separation_units(n_separations, trials):
+    """The work units of a resolution study: greedy runs of consecutive
+    separation indices whose trials total at most UNIT_COLUMNS columns.
+
+    A run always holds at least one separation, and the plan depends only on
+    its two arguments, never on the worker count.
+    """
+    units = []
+    for si in range(n_separations):
+        if units and (len(units[-1]) + 1) * trials <= UNIT_COLUMNS:
+            units[-1].append(si)
+        else:
+            units.append([si])
+    return units
+
+
 def resolution_curve(
     g,
     separations=DEFAULT_SEPARATIONS,
@@ -99,8 +121,16 @@ def resolution_curve(
     each within ``success_half_width`` * true separation of its scatterer.
     Returns rows ready for the curve CSV; mean/std position estimates are
     taken over trials with exactly two detected peaks.
+
+    The trials of whole separations are packed into column batches of at
+    most UNIT_COLUMNS fibers (:func:`_separation_units`), one solve each;
+    ``threads`` workers share the batches.  A DivergenceError names the
+    separation and the trial of the failing column.
     """
     separations = [float(s) for s in separations]
+    for s in separations:
+        if not math.isfinite(s):
+            raise ConfigurationError(f"separations must be finite, got {s!r}")
     if any(s < 0 for s in separations):
         raise ConfigurationError("separations must be >= 0")
     if trials < 1:
@@ -109,12 +139,12 @@ def resolution_curve(
     a = build_steering_matrix(g)
     grid = GridSpec.from_geometry(g, n_x=1, n_y=1)
     n_e = g.n_elements
+    # every scene before any solve, so that a separation the grid cannot hold
+    # fails first
+    scenes = [make_test_object("two_scatterers", g, grid, seed=0, separation_rho=s) for s in separations]
 
-    def run_separation(item):
-        si, sep = item
-        scene, meta = make_test_object("two_scatterers", g, grid, seed=0, separation_rho=sep)
-        x_true = scene[:, 0, 0]
-        y_clean = a @ x_true
+    def echoes(si):
+        y_clean = a @ scenes[si][0][:, 0, 0]
         if math.isinf(snr_db):
             noise = np.zeros((n_e, trials), dtype=np.complex128)
         else:
@@ -122,9 +152,10 @@ def resolution_curve(
             noise = np.stack(
                 [complex_noise(fiber_rng(seed, si, t), n_e, sigma) for t in range(trials)], axis=1
             )
-        y_batch = y_clean[:, None] + noise
-        x_batch = _solve_fiber_batch(y_batch, a, method, cfg, lista_params)
+        return y_clean[:, None] + noise
 
+    def score(si, x_batch):
+        meta = scenes[si][1]
         true_lo, true_hi = meta["true_elevations_m"]
         sep_m = meta["separation_m"]
         successes = 0
@@ -138,8 +169,8 @@ def resolution_curve(
                 tol = success_half_width * sep_m
                 if abs(pos[0] - true_lo) <= tol and abs(pos[1] - true_hi) <= tol:
                     successes += 1
-        row = {
-            "separation_rho_s": sep,
+        return {
+            "separation_rho_s": separations[si],
             "success_rate": successes / trials,
             "mean_pos_lo_m": float(np.mean(est_lo)) if est_lo else None,
             "mean_pos_hi_m": float(np.mean(est_hi)) if est_hi else None,
@@ -147,9 +178,22 @@ def resolution_curve(
             "std_pos_hi_m": float(np.std(est_hi)) if est_hi else None,
             "trials": trials,
         }
-        return row
 
-    return run_indexed(run_separation, list(enumerate(separations)), workers=threads)
+    def run_unit(unit):
+        y_batch = np.hstack([echoes(si) for si in unit])
+        try:
+            x_batch = _solve_fiber_batch(y_batch, a, method, cfg, lista_params)
+        except DivergenceError as exc:
+            sep, t = separations[unit[exc.column // trials]], exc.column % trials
+            raise DivergenceError(
+                f"{exc} (separation {sep!r} rho_s, trial {t})",
+                objective_trace=exc.objective_trace,
+                column=exc.column,
+            ) from exc
+        return [score(si, x_batch[:, k * trials:(k + 1) * trials]) for k, si in enumerate(unit)]
+
+    rows = run_indexed(run_unit, _separation_units(len(separations), trials), workers=threads)
+    return [row for unit_rows in rows for row in unit_rows]
 
 
 def run_structure_test(

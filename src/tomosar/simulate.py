@@ -408,8 +408,8 @@ def make_test_object(kind: str, g: SystemGeometry, grid: GridSpec, seed: int = 0
 
     if kind == "two_scatterers":
         sep = float(params.get("separation_rho", 1.0))
-        if sep < 0:
-            raise ConfigurationError(f"separation must be >= 0, got {sep}")
+        if not math.isfinite(sep) or sep < 0:
+            raise ConfigurationError(f"separation must be finite and >= 0, got {sep}")
         rho = theoretical_resolution(g)
         gap = int(round(sep * rho / grid.cell_z))
         if gap >= n_z:

@@ -235,7 +235,8 @@ def _iterate(step, x, objective, sigma, max_outer, solver):
     converged only if every column is, and ``column_iterations`` holds each
     column's own count.  Its traces keep one float per iteration: the batch
     objective (the sum over the columns) and the largest relative change
-    among the columns still running; a DivergenceError carries the former.
+    among the columns still running; a DivergenceError carries the former
+    and the failing column.
     """
     obj0 = objective(x)
     batch = np.ndim(obj0) > 0
@@ -271,7 +272,9 @@ def _iterate(step, x, objective, sigma, max_outer, solver):
             why = f"exceeded 10x its initial value {o0:.3e}" if math.isfinite(o) else "is not finite"
             where = f", column {j}" if batch else ""
             raise DivergenceError(
-                f"{solver} at iteration {it}{where}: objective {o:.3e} {why}", objective_trace=obj_trace
+                f"{solver} at iteration {it}{where}: objective {o:.3e} {why}",
+                objective_trace=obj_trace,
+                column=j,
             )
         if batch:
             _columns(frozen)[:, stopped] = _columns(x)[:, stopped]

@@ -4,12 +4,15 @@ and the structure-test bundle writer."""
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from tomosar import bench
 from tomosar.bench import (
     DEFAULT_SEPARATIONS,
+    _separation_units,
     _solve_fiber_batch,
     detect_peaks,
     resolution_curve,
@@ -17,9 +20,17 @@ from tomosar.bench import (
 )
 from tomosar.errors import ConfigurationError, DivergenceError
 from tomosar.fileio import read_tensor, write_resolution_curve
-from tomosar.sensing import build_steering_matrix, complex_noise, default_geometry, fiber_rng, noise_sigma
+from tomosar.sensing import (
+    build_steering_matrix,
+    complex_noise,
+    default_geometry,
+    fiber_rng,
+    noise_sigma,
+    spectral_norm_sq,
+)
 from tomosar.simulate import GridSpec, make_test_object
 from tomosar.solvers import (
+    LearnedIstaParams,
     SolverConfig,
     _batch_config,
     _ista_matrix,
@@ -108,8 +119,51 @@ class TestResolutionCurve:
         with pytest.raises(ConfigurationError):
             resolution_curve(g, separations=(1.0,), trials=0)
 
+    @pytest.mark.parametrize("seps", [(math.inf,), (0.2, math.nan), (-math.inf, 1.0)])
+    def test_nonfinite_separations_rejected_before_any_solve(self, monkeypatch, seps):
+        def no_solve(*args):
+            raise AssertionError("solved before the separations were checked")
+
+        monkeypatch.setattr(bench, "_solve_fiber_batch", no_solve)
+        with pytest.raises(ConfigurationError, match="separations must be finite, got"):
+            resolution_curve(default_geometry(), separations=seps, trials=2, threads=1)
+
     def test_default_separations_constant(self):
         assert DEFAULT_SEPARATIONS == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
+
+
+class TestSeparationUnits:
+    """The work units of a resolution study: whole separations packed into
+    column batches of at most UNIT_COLUMNS trials."""
+
+    @pytest.mark.parametrize("trials, sizes", [(500, [1] * 8), (257, [1] * 8), (256, [2] * 4),
+                                               (100, [5, 3]), (5, [8])])
+    def test_plan(self, trials, sizes):
+        units = _separation_units(len(DEFAULT_SEPARATIONS), trials)
+        assert [len(u) for u in units] == sizes
+        assert [si for u in units for si in u] == list(range(len(DEFAULT_SEPARATIONS)))
+        assert all(len(u) == 1 or len(u) * trials <= bench.UNIT_COLUMNS for u in units)
+
+    @pytest.mark.parametrize("method", ["ista", "fista", "sb-tv", "light-tv", "lista"])
+    def test_packed_rows_equal_solo_rows(self, monkeypatch, method):
+        g = default_geometry()
+        a = build_steering_matrix(g)
+        params = LearnedIstaParams.equivalence(9, 1.0 / spectral_norm_sq(a), 0.1) if method == "lista" else None
+        kwargs = dict(separations=(0.4, 1.0, 1.4), trials=8, seed=3, method=method, lista_params=params, threads=1)
+        assert len(_separation_units(3, 8)) == 1
+        packed = resolution_curve(g, **kwargs)
+        # one separation per unit: each is solved in a batch of its own trials
+        monkeypatch.setattr(bench, "UNIT_COLUMNS", 8)
+        assert _separation_units(3, 8) == [[0], [1], [2]]
+        assert resolution_curve(g, **kwargs) == packed
+
+    def test_multi_unit_plan_is_independent_of_threads(self):
+        g = default_geometry()
+        assert len(_separation_units(len(DEFAULT_SEPARATIONS), 100)) == 2
+        rows1 = resolution_curve(g, trials=100, seed=4, method="fista", threads=1)
+        rows4 = resolution_curve(g, trials=100, seed=4, method="fista", threads=4)
+        assert rows1 == rows4
+        assert [r["separation_rho_s"] for r in rows1] == list(DEFAULT_SEPARATIONS)
 
 
 def fiber_echoes(a, separation, trials, seed=3):
@@ -276,6 +330,27 @@ class TestFiberBatchDivergence:
         g = default_geometry()
         with pytest.raises(DivergenceError, match=r"at iteration \d+, column \d+: objective"):
             resolution_curve(g, separations=(1.0,), trials=2, method=method, cfg=SolverConfig(alpha=1.0), threads=1)
+
+    def test_packed_study_names_separation_and_trial(self, monkeypatch):
+        solve = bench._solve_fiber_batch
+
+        def silence_first_columns(y_batch, *args):
+            # silent columns cannot diverge, so the first to go is column 4
+            y_batch[:, :4] = 0.0
+            return solve(y_batch, *args)
+
+        monkeypatch.setattr(bench, "_solve_fiber_batch", silence_first_columns)
+        g = default_geometry()
+        with pytest.raises(DivergenceError) as err:
+            resolution_curve(g, separations=(1.0, 0.6), trials=3, method="sb-tv", cfg=SolverConfig(alpha=1.0),
+                             threads=1)
+        msg = str(err.value)
+        # column 4 of the packed batch is trial 1 of the second separation
+        assert err.value.column == 4
+        assert re.match(r"sb-tv at iteration \d+, column 4: objective .* \(separation 1\.0 rho_s, trial 1\)$", msg)
+        it = int(msg.split("iteration ")[1].split(",")[0])
+        trace = err.value.objective_trace
+        assert len(trace) == it + 1 and all(isinstance(v, float) for v in trace)
 
 
 class TestStructureTest:

@@ -398,6 +398,13 @@ class TestResolutionTest:
         res = run_cli("resolution-test", "--separations", ",", "--out", tmp_path / "c.csv")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("seps, bad", [("inf", "inf"), ("0.2,nan", "nan")])
+    def test_nonfinite_separations_exit_2(self, tmp_path, seps, bad):
+        res = run_cli("resolution-test", "--separations", seps, "--trials", "2", "--out", tmp_path / "c.csv")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == f"error: separations must be finite, got {bad}\n"
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestStructureTest:
     def test_bundle_written(self, tmp_path):

@@ -318,6 +318,13 @@ class TestMakeTestObject:
         with pytest.raises(ConfigurationError):
             make_test_object("two_scatterers", g, grid, separation_rho=-1.0)
 
+    @pytest.mark.parametrize("sep", [math.inf, math.nan])
+    def test_two_scatterers_nonfinite_separation_rejected(self, sep):
+        g = default_geometry()
+        grid = default_grid(n_x=8, n_y=8)
+        with pytest.raises(ConfigurationError, match=f"separation must be finite and >= 0, got {sep}"):
+            make_test_object("two_scatterers", g, grid, separation_rho=sep)
+
     def test_one_step_frontal_slice_has_three_segments_two_corners(self):
         g = default_geometry()
         grid = default_grid()

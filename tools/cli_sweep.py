@@ -16,7 +16,9 @@ The sweep covers every subcommand and method: ``train-lista`` at its
 defaults; ``simulate`` of a 32x32 building:box and ``reconstruct`` of its
 echo by each method (and sb-tv with lambda1 = 0); ``structure-test`` of the
 same object by each method; ``resolution-test`` with 25 trials for every
-method; and the six commands of acceptance criterion 10.
+method, and fista with 100 trials (two column batches of whole
+separations, so the two workers share the study); and the six commands of
+acceptance criterion 10.
 """
 
 import hashlib
@@ -53,6 +55,8 @@ def commands():
     for m in METHODS:
         cmds.append(("resolution", ["resolution-test", "--method", m, *_lista(m), "--trials", "25",
                                     "--out", f"curve-{m}.csv"]))
+    cmds.append(("resolution", ["resolution-test", "--method", "fista", "--trials", "100",
+                                "--out", "curve-fista-100.csv"]))
     cmds += [
         ("c10", ["simulate", "--model", "one_step", "--nx", "8", "--ny", "8", "--snr", "5.0", "--seed", "3",
                  "--out-scene", "scene.tsr3", "--out-echo", "echo.tsr3", "--out-meta", "meta.json"]),
