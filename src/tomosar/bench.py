@@ -131,10 +131,18 @@ def resolution_curve(
     for s in separations:
         if not math.isfinite(s):
             raise ConfigurationError(f"separations must be finite, got {s!r}")
-    if any(s < 0 for s in separations):
-        raise ConfigurationError("separations must be >= 0")
+        if s < 0:
+            raise ConfigurationError(f"separations must be >= 0, got {s!r}")
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
+    if not (math.isfinite(success_half_width) and success_half_width > 0):
+        raise ConfigurationError(
+            f"success_half_width must be finite and > 0, got {success_half_width!r}"
+        )
+    if not (0.0 <= peak_rel_threshold < 1.0):  # at 1 or above no bin is a peak
+        raise ConfigurationError(
+            f"peak_rel_threshold must be in [0, 1), got {peak_rel_threshold!r}"
+        )
     separations = sorted(separations)
     a = build_steering_matrix(g)
     grid = GridSpec.from_geometry(g, n_x=1, n_y=1)

@@ -318,8 +318,24 @@ def build_parser():
     return parser
 
 
+def _glue_separations(argv):
+    """Join ``--separations`` to a value that starts with ``-``.
+
+    argparse reads ``-inf`` or ``-0.5,0.2`` as an unknown option, so the
+    library's own range check would never see it; ``--separations=-inf``
+    needs no help.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--separations" and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"--separations={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_separations(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -3,7 +3,9 @@
 Image metrics (rmse, psnr) compare tensor magnitudes.  Point-cloud metrics
 (precision, recall, d_pcm, variance) compare nearest-neighbor distances
 between extracted scatterer clouds; the matcher uses a KD-tree and is
-verified elsewhere against an O(N^2) brute force.
+verified elsewhere against an O(N^2) brute force.  scipy is imported by the
+matcher on its first call, so that commands which never match clouds do not
+load it.
 """
 
 import math
@@ -11,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .simulate import PointCloud
 
@@ -53,6 +54,9 @@ def extract_point_cloud(x, rel_threshold=0.1, cell=(1.0, 1.0, 1.0), origin=(0.0,
         raise ValueError(f"expected an order-3 tensor, got shape {x.shape}")
     if not (0.0 < rel_threshold <= 1.0):
         raise ValueError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
+    cell = np.asarray(cell, dtype=np.float64)
+    if cell.shape != (3,) or not (np.all(np.isfinite(cell)) and np.all(cell > 0)):
+        raise ValueError(f"cell must hold three finite sizes > 0, got {cell.tolist()}")
     mag = np.abs(x)
     peak = float(mag.max()) if mag.size else 0.0
     if peak == 0.0:
@@ -63,7 +67,6 @@ def extract_point_cloud(x, rel_threshold=0.1, cell=(1.0, 1.0, 1.0), origin=(0.0,
     else:
         mask = mag > rel_threshold * peak
     idx = np.argwhere(mask)
-    cell = np.asarray(cell, dtype=np.float64)
     origin = np.asarray(origin, dtype=np.float64)
     xyz = idx * cell[None, :] + origin[None, :]
     amps = mag[mask]
@@ -72,6 +75,8 @@ def extract_point_cloud(x, rel_threshold=0.1, cell=(1.0, 1.0, 1.0), origin=(0.0,
 
 
 def _nn_dists(query_xyz, ref_xyz):
+    from scipy.spatial import cKDTree  # ~0.4 s and ~30 MiB; only matching needs it
+
     tree = cKDTree(ref_xyz)
     d, _ = tree.query(query_xyz, k=1)
     return np.atleast_1d(d)
@@ -86,8 +91,8 @@ def precision_recall(recon: PointCloud, truth: PointCloud, tau_p: float):
     dict.  An empty recon leaves precision None; an empty truth leaves
     recall None.
     """
-    if tau_p <= 0:
-        raise ValueError(f"tau_p must be positive, got {tau_p}")
+    if not (math.isfinite(tau_p) and tau_p > 0):
+        raise ValueError(f"tau_p must be finite and positive, got {tau_p}")
     n_p = recon.n_points
     a_p = truth.n_points
     counts = {"n_p": n_p, "a_p": a_p, "precision_matches": 0, "recall_matches": 0}

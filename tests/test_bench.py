@@ -128,6 +128,24 @@ class TestResolutionCurve:
         with pytest.raises(ConfigurationError, match="separations must be finite, got"):
             resolution_curve(default_geometry(), separations=seps, trials=2, threads=1)
 
+    @pytest.mark.parametrize("knob, value, message", [
+        ("success_half_width", 0.0, "success_half_width must be finite and > 0"),
+        ("success_half_width", -1.0, "success_half_width must be finite and > 0"),
+        ("success_half_width", math.nan, "success_half_width must be finite and > 0"),
+        ("success_half_width", math.inf, "success_half_width must be finite and > 0"),
+        ("peak_rel_threshold", -0.1, r"peak_rel_threshold must be in \[0, 1\)"),
+        ("peak_rel_threshold", 1.0, r"peak_rel_threshold must be in \[0, 1\)"),
+        ("peak_rel_threshold", math.nan, r"peak_rel_threshold must be in \[0, 1\)"),
+    ])
+    def test_invalid_scoring_knob_rejected_before_any_solve(self, monkeypatch, knob, value, message):
+        def no_solve(*args):
+            raise AssertionError("solved before the scoring knobs were checked")
+
+        monkeypatch.setattr(bench, "_solve_fiber_batch", no_solve)
+        with pytest.raises(ConfigurationError, match=message):
+            resolution_curve(default_geometry(), separations=(0.6,), trials=2, threads=1,
+                             **{knob: value})
+
     def test_default_separations_constant(self):
         assert DEFAULT_SEPARATIONS == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
 

@@ -368,6 +368,24 @@ class TestEvaluate:
         assert doc_t["precision"] == 0.0 and doc_t["recall"] == 0.0
         assert doc_t["d_pcm"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("flags, knob", [
+        (["--tau-p", "nan"], "tau_p"),
+        (["--tau-p", "inf"], "tau_p"),
+        (["--cell-z", "-1"], "cell"),
+        (["--cell-x", "0"], "cell"),
+        (["--cell-y", "nan"], "cell"),
+    ])
+    def test_invalid_matching_knob_exits_2(self, tmp_path, flags, knob):
+        spike = np.zeros((8, 4, 4), dtype=complex)
+        spike[3, 1, 2] = 1.0
+        scene = tmp_path / "spike.tsr3"
+        write_tensor(str(scene), spike)
+        out = tmp_path / "eval.json"
+        res = run_cli("evaluate", "--recon", scene, "--truth", scene, "--out", out, *flags)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"error: {knob} must ")
+        assert not out.exists()
+
     def test_dim_mismatch_exits_2(self, tmp_path):
         scene, _, _ = simulate_small(tmp_path, nx=8, ny=8)
         other = tmp_path / "other.tsr3"
@@ -403,6 +421,33 @@ class TestResolutionTest:
         res = run_cli("resolution-test", "--separations", seps, "--trials", "2", "--out", tmp_path / "c.csv")
         assert res.returncode == 2, res.stderr
         assert res.stderr == f"error: separations must be finite, got {bad}\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--separations", "-inf"], "separations must be finite, got -inf"),
+        (["--separations=-inf"], "separations must be finite, got -inf"),
+        (["--separations", "-0.5,0.2"], "separations must be >= 0, got -0.5"),
+        (["--separations=-0.5,0.2"], "separations must be >= 0, got -0.5"),
+    ])
+    def test_separations_starting_with_minus_reach_the_range_check(self, tmp_path, argv, message):
+        res = run_cli("resolution-test", *argv, "--trials", "2", "--out", tmp_path / "c.csv")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == f"error: {message}\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, knob", [
+        ("--half-width", "-1", "success_half_width"),
+        ("--half-width", "0", "success_half_width"),
+        ("--half-width", "nan", "success_half_width"),
+        ("--half-width", "inf", "success_half_width"),
+        ("--peak-threshold", "nan", "peak_rel_threshold"),
+        ("--peak-threshold", "1", "peak_rel_threshold"),
+    ])
+    def test_invalid_scoring_knob_exits_2(self, tmp_path, flag, value, knob):
+        res = run_cli("resolution-test", "--separations", "0.6", "--trials", "2",
+                      flag, value, "--out", tmp_path / "c.csv")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"error: {knob} must ")
         assert not (tmp_path / "c.csv").exists()
 
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from tomosar import metrics
 from tomosar.metrics import (
     EvalReport,
     d_pcm,
@@ -19,6 +20,10 @@ from tomosar.metrics import (
 from tomosar.simulate import PointCloud
 
 import reference
+
+
+def no_matching(*args):
+    raise AssertionError("matched clouds before the knobs were checked")
 
 
 def random_cloud(n, seed, span=10.0):
@@ -105,6 +110,12 @@ class TestExtract:
         cloud = extract_point_cloud(np.zeros((3, 3, 3), dtype=complex))
         assert cloud.n_points == 0
 
+    @pytest.mark.parametrize("cell", [(1.0, -1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, float("nan")),
+                                      (float("inf"), 1.0, 1.0), (1.0, 1.0)])
+    def test_bad_cell_rejected(self, cell):
+        with pytest.raises(ValueError, match="cell must hold three finite sizes > 0"):
+            extract_point_cloud(np.ones((2, 2, 2), dtype=complex), cell=cell)
+
     def test_bad_threshold_rejected(self):
         t = np.ones((2, 2, 2), dtype=complex)
         with pytest.raises(ValueError):
@@ -169,6 +180,13 @@ class TestPrecisionRecall:
         c = random_cloud(3, seed=7)
         with pytest.raises(ValueError):
             precision_recall(c, c, tau_p=0.0)
+
+    @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
+    def test_bad_tau_rejected_before_matching(self, monkeypatch, tau):
+        c = random_cloud(3, seed=7)
+        monkeypatch.setattr(metrics, "_nn_dists", no_matching)
+        with pytest.raises(ValueError, match="tau_p must be finite and positive"):
+            precision_recall(c, c, tau_p=tau)
 
 
 class TestDistanceMetrics:
@@ -267,3 +285,15 @@ class TestEvaluateTensors:
         assert report.recall == 0.0
         assert report.d_pcm is None
         assert report.variance is None
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"tau_p": float("nan")}, "tau_p must be finite and positive"),
+        ({"cell": (1.0, -1.0, 1.0)}, "cell must hold three finite sizes > 0"),
+        ({"cell": (1.0, 1.0, float("nan"))}, "cell must hold three finite sizes > 0"),
+    ])
+    def test_bad_knobs_rejected_before_matching(self, monkeypatch, knobs, message):
+        t = np.zeros((4, 4, 4), dtype=complex)
+        t[1, 1, 1] = 1.0
+        monkeypatch.setattr(metrics, "_nn_dists", no_matching)
+        with pytest.raises(ValueError, match=message):
+            evaluate_tensors(t, t, **knobs)
