@@ -4,149 +4,9 @@ Simulates urban-style scenes observed by a cross-track element array,
 reconstructs sparse 3D scene tensors from the noisy echoes with a family
 of l1 / total-variation solvers, and scores the results with a
 point-cloud metric suite.  Everything is deterministic from a seed.
+
+The submodules are the library API; ``import tomosar`` loads them all and
+re-exports nothing.
 """
 
-from .bench import detect_peaks, resolution_curve, run_structure_test
-from .errors import ConfigurationError, DivergenceError
-from .fileio import (
-    read_geometry,
-    read_lista_params,
-    read_point_cloud,
-    read_resolution_curve,
-    read_tensor,
-    write_geometry,
-    write_json,
-    write_lista_params,
-    write_point_cloud,
-    write_resolution_curve,
-    write_tensor,
-)
-from .metrics import (
-    EvalReport,
-    d_pcm,
-    evaluate_tensors,
-    extract_point_cloud,
-    precision_recall,
-    psnr,
-    rmse,
-    timed,
-    variance,
-)
-from .sensing import (
-    SystemGeometry,
-    add_noise,
-    adjoint,
-    build_steering_matrix,
-    default_geometry,
-    forward,
-    spectral_norm_sq,
-    theoretical_resolution,
-)
-from .simulate import (
-    BuildingModel,
-    GridSpec,
-    PointCloud,
-    augment,
-    generate_building,
-    generate_echo,
-    make_fiber_dataset,
-    make_test_object,
-    normalize,
-    project_to_grid,
-)
-from .solvers import (
-    LearnedIstaParams,
-    ResolvedConfig,
-    SolverConfig,
-    SolverReport,
-    ista_fiber,
-    light_reconstruct_enhance,
-    lista_infer,
-    lista_train,
-    objective_eval,
-    reconstruct_tensor,
-    resolve_config,
-    soft_threshold,
-    split_bregman_l1tv,
-    tv_denoise_enhance,
-)
-from .tensor import (
-    as_tensor,
-    diff,
-    diff_adjoint,
-    fold,
-    frobenius,
-    l1,
-    tv_norm,
-    unfold,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BuildingModel",
-    "ConfigurationError",
-    "DivergenceError",
-    "EvalReport",
-    "GridSpec",
-    "LearnedIstaParams",
-    "PointCloud",
-    "ResolvedConfig",
-    "SolverConfig",
-    "SolverReport",
-    "SystemGeometry",
-    "add_noise",
-    "adjoint",
-    "as_tensor",
-    "augment",
-    "build_steering_matrix",
-    "d_pcm",
-    "default_geometry",
-    "detect_peaks",
-    "diff",
-    "diff_adjoint",
-    "evaluate_tensors",
-    "extract_point_cloud",
-    "fold",
-    "forward",
-    "frobenius",
-    "generate_building",
-    "generate_echo",
-    "ista_fiber",
-    "l1",
-    "light_reconstruct_enhance",
-    "lista_infer",
-    "lista_train",
-    "make_fiber_dataset",
-    "make_test_object",
-    "normalize",
-    "objective_eval",
-    "precision_recall",
-    "project_to_grid",
-    "psnr",
-    "read_geometry",
-    "read_lista_params",
-    "read_point_cloud",
-    "read_resolution_curve",
-    "read_tensor",
-    "reconstruct_tensor",
-    "resolution_curve",
-    "resolve_config",
-    "rmse",
-    "run_structure_test",
-    "soft_threshold",
-    "spectral_norm_sq",
-    "split_bregman_l1tv",
-    "theoretical_resolution",
-    "timed",
-    "tv_denoise_enhance",
-    "tv_norm",
-    "unfold",
-    "variance",
-    "write_geometry",
-    "write_json",
-    "write_lista_params",
-    "write_point_cloud",
-    "write_resolution_curve",
-    "write_tensor",
-]
+from . import bench, errors, fileio, metrics, sensing, simulate, solvers, tensor

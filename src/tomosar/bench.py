@@ -15,7 +15,7 @@ import numpy as np
 from . import fileio
 from ._pool import run_indexed
 from .errors import ConfigurationError, DivergenceError
-from .metrics import evaluate_tensors, timed
+from .metrics import evaluate_tensors, scoring_settings, timed
 from .sensing import build_steering_matrix, complex_noise, fiber_rng, noise_sigma
 from .simulate import GridSpec, generate_echo, make_test_object
 from .solvers import (
@@ -224,8 +224,10 @@ def run_structure_test(
     The bundle directory receives scene/echo/recon tensors, both extracted
     point clouds, the evaluation report, the solver report, and metadata.
     Timing fields stay null unless ``timing`` is set, keeping default output
-    byte-reproducible.
+    byte-reproducible.  The scoring settings are checked before the solve.
     """
+    cell = (grid.cell_z, grid.cell_x, grid.cell_y)
+    scoring_settings(rel_threshold, tau_p, cell)
     a = build_steering_matrix(g)
     scene, meta = make_test_object(obj, g, grid, seed=seed)
     echo = generate_echo(scene, a, snr_db, seed)
@@ -233,7 +235,6 @@ def run_structure_test(
         lambda: reconstruct_tensor(echo, a, method, cfg=cfg, lista_params=lista_params),
         repeats=repeats if timing else 1,
     )
-    cell = (grid.cell_z, grid.cell_x, grid.cell_y)
     eval_report, recon_cloud, truth_cloud = evaluate_tensors(
         recon,
         scene,

@@ -10,6 +10,7 @@ in order.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -55,18 +56,8 @@ def _solver_config(args):
         for key, value in base.items():
             if value is not None or defaults[key] is not None:  # null: the derived default
                 fileio.number_field(path, base, key, "solver config")
-    cfg = SolverConfig(**base)
-    return cfg.merged(
-        alpha=getattr(args, "alpha", None),
-        lambda1=getattr(args, "lambda1", None),
-        lambda2=getattr(args, "lambda2", None),
-        mu=getattr(args, "mu", None),
-        tau1=getattr(args, "tau1", None),
-        tau2=getattr(args, "tau2", None),
-        sigma=getattr(args, "sigma", None),
-        max_outer=getattr(args, "max_outer", None),
-        inner_iters=getattr(args, "inner_iters", None),
-    )
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
+    return SolverConfig(**base).merged(**flags)
 
 
 def _load_lista_params(args, needed):
@@ -136,7 +127,12 @@ def cmd_evaluate(args):
 
 def cmd_resolution_test(args):
     g = _load_geometry(args)
-    separations = [float(s) for s in args.separations.split(",") if s.strip() != ""]
+    separations = []
+    for s in filter(str.strip, args.separations.split(",")):
+        try:
+            separations.append(float(s))
+        except ValueError:
+            raise ConfigurationError(f"--separations entry {s!r} is not a number") from None
     if not separations:
         raise ConfigurationError("no separations given")
     cfg = _solver_config(args)
@@ -211,15 +207,8 @@ def _add_grid_args(p):
 
 def _add_solver_args(p):
     p.add_argument("--config", help="solver config JSON; flags override its values")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--tau1", type=float, default=None)
-    p.add_argument("--tau2", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--max-outer", type=int, default=None)
-    p.add_argument("--inner-iters", type=int, default=None)
+    for f in dataclasses.fields(SolverConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=int if f.type is int else float, default=None)
 
 
 def _add_timing_args(p):
@@ -318,24 +307,30 @@ def build_parser():
     return parser
 
 
-def _glue_separations(argv):
-    """Join ``--separations`` to a value that starts with ``-``.
+# The only long options that take no value; argparse accepts their prefixes too.
+_FLAGS = ("--timing", "--help")
+
+
+def _glue_values(argv):
+    """Join each long option that takes a value to a value starting with ``-``.
 
     argparse reads ``-inf`` or ``-0.5,0.2`` as an unknown option, so the
-    library's own range check would never see it; ``--separations=-inf``
-    needs no help.
+    library's own check would never see it; ``--half-width=-inf`` needs no
+    help.
     """
     out = []
     for tok in argv:
-        if out and out[-1] == "--separations" and tok.startswith("-") and not tok.startswith("--"):
-            out[-1] = f"--separations={tok}"
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and "=" not in prev and not any(f.startswith(prev) for f in _FLAGS)
+        if takes_value and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
     return out
 
 
 def main(argv=None):
-    args = build_parser().parse_args(_glue_separations(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -40,6 +40,26 @@ def psnr(xhat, x):
     return 20.0 * math.log10(peak / err)
 
 
+def scoring_settings(rel_threshold=0.1, tau_p=None, cell=(1.0, 1.0, 1.0)):
+    """Check the settings of a cloud comparison; return ``(tau_p, cell array)``.
+
+    rel_threshold must lie in (0, 1], cell hold three finite sizes > 0 and a
+    given tau_p be finite and positive; tau_p None becomes one voxel
+    diagonal of ``cell``.  The ValueError names the bad setting, so a caller
+    can check before it reconstructs anything.
+    """
+    if not (0.0 < rel_threshold <= 1.0):
+        raise ValueError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
+    cell = np.asarray(cell, dtype=np.float64)
+    if cell.shape != (3,) or not (np.all(np.isfinite(cell)) and np.all(cell > 0)):
+        raise ValueError(f"cell must hold three finite sizes > 0, got {cell.tolist()}")
+    if tau_p is None:
+        tau_p = math.sqrt(sum(c * c for c in cell.tolist()))
+    elif not (math.isfinite(tau_p) and tau_p > 0):
+        raise ValueError(f"tau_p must be finite and positive, got {tau_p}")
+    return tau_p, cell
+
+
 def extract_point_cloud(x, rel_threshold=0.1, cell=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
     """Turn a tensor into a scatterer cloud by relative magnitude thresholding.
 
@@ -52,11 +72,7 @@ def extract_point_cloud(x, rel_threshold=0.1, cell=(1.0, 1.0, 1.0), origin=(0.0,
     x = np.asarray(x)
     if x.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got shape {x.shape}")
-    if not (0.0 < rel_threshold <= 1.0):
-        raise ValueError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
-    cell = np.asarray(cell, dtype=np.float64)
-    if cell.shape != (3,) or not (np.all(np.isfinite(cell)) and np.all(cell > 0)):
-        raise ValueError(f"cell must hold three finite sizes > 0, got {cell.tolist()}")
+    _, cell = scoring_settings(rel_threshold, cell=cell)
     mag = np.abs(x)
     peak = float(mag.max()) if mag.size else 0.0
     if peak == 0.0:
@@ -91,8 +107,7 @@ def precision_recall(recon: PointCloud, truth: PointCloud, tau_p: float):
     dict.  An empty recon leaves precision None; an empty truth leaves
     recall None.
     """
-    if not (math.isfinite(tau_p) and tau_p > 0):
-        raise ValueError(f"tau_p must be finite and positive, got {tau_p}")
+    scoring_settings(tau_p=tau_p)
     n_p = recon.n_points
     a_p = truth.n_points
     counts = {"n_p": n_p, "a_p": a_p, "precision_matches": 0, "recall_matches": 0}
@@ -187,13 +202,11 @@ def evaluate_tensors(
     tau_p defaults to one voxel diagonal of ``cell``.  d_pcm and variance
     are None when either cloud is empty.
     """
+    tau_p, cell = scoring_settings(rel_threshold, tau_p, cell)
     recon = np.asarray(recon)
     truth = np.asarray(truth)
     if recon.shape != truth.shape:
         raise ValueError(f"shape mismatch: {recon.shape} vs {truth.shape}")
-    cell = tuple(float(c) for c in cell)
-    if tau_p is None:
-        tau_p = math.sqrt(sum(c * c for c in cell))
     recon_cloud = extract_point_cloud(recon, rel_threshold, cell=cell)
     truth_cloud = extract_point_cloud(truth, rel_threshold, cell=cell)
     precision, recall, counts = precision_recall(recon_cloud, truth_cloud, tau_p)

@@ -18,7 +18,6 @@ from .errors import ConfigurationError
 DEFAULT_WAVELENGTH_M = 0.031
 DEFAULT_SLANT_RANGE_M = 2040.3406
 DEFAULT_INCIDENCE_DEG = 31.6453
-DEFAULT_REFERENCE_HEIGHT_M = 1736.9668
 DEFAULT_N_ELEMENTS = 12
 
 
@@ -85,26 +84,21 @@ def theoretical_resolution(g: SystemGeometry) -> float:
     return g.wavelength_m * g.reference_slant_range_m / (2.0 * g.aperture_m)
 
 
-def default_geometry(
-    n_elements: int = DEFAULT_N_ELEMENTS,
-    aperture_m: float = 10.0,
-    n_elevations: int = 64,
-    elevation_span_factor: float = 8.0,
-) -> SystemGeometry:
-    """Desk-scale default geometry.
+def default_geometry(n_elements: int = DEFAULT_N_ELEMENTS) -> SystemGeometry:
+    """Desk-scale default geometry: a 10 m aperture and 64 elevation positions.
 
     Baselines are uniform and centered on zero.  The elevation grid is
-    uniform with cell size span_factor * resolution / n_elevations and is
-    anchored so index n_elevations // 2 sits exactly at elevation 0 (the
-    reference point maps to the central grid index).
+    uniform, spans eight Rayleigh resolutions, and is anchored so index 32
+    sits exactly at elevation 0 (the reference point maps to the central
+    grid index).
     """
-    if n_elements < 2 or n_elevations < 2:
-        raise ConfigurationError("need at least 2 elements and 2 elevation positions")
-    if aperture_m <= 0:
-        raise ConfigurationError("aperture must be positive")
+    if n_elements < 2:
+        raise ConfigurationError("need at least 2 elements")
+    aperture_m = 10.0
+    n_elevations = 64
     baselines = np.linspace(-aperture_m / 2.0, aperture_m / 2.0, n_elements)
     rho = DEFAULT_WAVELENGTH_M * DEFAULT_SLANT_RANGE_M / (2.0 * aperture_m)
-    cell = elevation_span_factor * rho / n_elevations
+    cell = 8.0 * rho / n_elevations
     grid = (np.arange(n_elevations) - n_elevations // 2) * cell
     return SystemGeometry(
         wavelength_m=DEFAULT_WAVELENGTH_M,

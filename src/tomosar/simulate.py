@@ -1,6 +1,6 @@
 """Scene simulation: building point clouds, grid projection, echo synthesis.
 
-Pipeline: generate_building -> normalize -> (augment) -> project_to_grid ->
+Pipeline: generate_building -> normalize -> project_to_grid ->
 generate_echo.  Building models live in a local ground frame (x azimuth,
 y ground range increasing away from the sensor, z height, meters).
 Projection converts each point to per-point slant range R and perpendicular
@@ -71,7 +71,6 @@ class BuildingModel:
     depth_m: float = 10.0
     height_m: float = 12.0
     n_steps: int = 3
-    apron_m: float | None = None
     look_direction: tuple = None
 
     def __post_init__(self):
@@ -135,10 +134,6 @@ class GridSpec:
         return (self.n_z, self.n_x, self.n_y)
 
     @property
-    def voxel_diagonal(self):
-        return math.sqrt(self.cell_z**2 + self.cell_x**2 + self.cell_y**2)
-
-    @property
     def center_index(self):
         return (self.n_z // 2, self.n_x // 2, self.n_y // 2)
 
@@ -191,7 +186,6 @@ def _sample_facet(origin, e1, e2, spacing, rng, jitter):
 def _facets_for(model: BuildingModel):
     """Rectangular facets as (origin, edge1, edge2, outward normal)."""
     w, d, h = model.width_m, model.depth_m, model.height_m
-    apron = model.apron_m if model.apron_m is not None else d
     ex = np.array([1.0, 0.0, 0.0])
     ey = np.array([0.0, 1.0, 0.0])
     ez = np.array([0.0, 0.0, 1.0])
@@ -200,8 +194,8 @@ def _facets_for(model: BuildingModel):
     def add(origin, e1, e2, normal):
         facets.append((np.asarray(origin, float), np.asarray(e1, float), np.asarray(e2, float), np.asarray(normal, float)))
 
-    # Ground apron on the sensor side, shared by every kind.
-    add([0.0, -apron, 0.0], w * ex, apron * ey, ez)
+    # Ground apron on the sensor side, as deep as the building, shared by every kind.
+    add([0.0, -d, 0.0], w * ex, d * ey, ez)
 
     if model.kind in ("box", "flat"):
         add([0.0, 0.0, 0.0], w * ex, h * ez, -ey)          # front wall
@@ -262,32 +256,6 @@ def normalize(p: PointCloud) -> PointCloud:
     if div == 0.0:
         raise ValueError("cannot normalize a cloud with zero extent on every axis")
     return PointCloud(xyz=shifted / div, amplitude=p.amplitude.copy(), phase=p.phase.copy())
-
-
-def augment(p: PointCloud, scale_range, translate_range, seed: int) -> PointCloud:
-    """Random uniform rescale plus per-axis translation, clamped to [0,1]^3.
-
-    translate_range is a (lo, hi) pair applied independently per axis.  If
-    the drawn transform maps the whole unit cube outside [0,1] on any axis, a
-    ConfigurationError is raised instead of silently collapsing the cloud
-    onto a face.
-    """
-    lo, hi = float(scale_range[0]), float(scale_range[1])
-    if not (0 < lo <= hi):
-        raise ConfigurationError(f"scale_range must satisfy 0 < lo <= hi, got {scale_range}")
-    tlo, thi = float(translate_range[0]), float(translate_range[1])
-    if tlo > thi:
-        raise ConfigurationError(f"translate_range must satisfy lo <= hi, got {translate_range}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    scale = float(rng.uniform(lo, hi))
-    shift = rng.uniform(tlo, thi, size=3)
-    for axis in range(3):
-        if shift[axis] > 1.0 or scale + shift[axis] < 0.0:
-            raise ConfigurationError(
-                f"transform (scale {scale:.3g}, shift {shift[axis]:.3g}) leaves [0,1] empty on axis {axis}"
-            )
-    xyz = np.clip(p.xyz * scale + shift[None, :], 0.0, 1.0)
-    return PointCloud(xyz=xyz, amplitude=p.amplitude.copy(), phase=p.phase.copy())
 
 
 def project_to_grid(p: PointCloud, g: SystemGeometry, grid: GridSpec, seed: int, scene_size_m=None):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tomosar
+from tomosar import bench, cli
 from tomosar.fileio import read_tensor, write_lista_params, write_tensor
 from tomosar.sensing import build_steering_matrix, default_geometry, spectral_norm_sq
 from tomosar.solvers import LearnedIstaParams
@@ -121,6 +122,11 @@ class TestReconstruct:
             res = run_cli("reconstruct", "--echo", echo, "--method", method, "--out", out)
             assert res.returncode == 0, (method, res.stderr)
             assert read_tensor(str(out)).shape == (64, 6, 6)
+
+    def test_flag_without_value_is_not_joined_to_the_next_token(self):
+        res = run_cli("reconstruct", "--timing", "-h")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("usage: tomosar reconstruct")
 
     def test_missing_echo_exits_2(self, tmp_path):
         res = run_cli(
@@ -374,6 +380,8 @@ class TestEvaluate:
         (["--cell-z", "-1"], "cell"),
         (["--cell-x", "0"], "cell"),
         (["--cell-y", "nan"], "cell"),
+        (["--tau-p", "-inf"], "tau_p"),
+        (["--cell-z", "-inf"], "cell"),
     ])
     def test_invalid_matching_knob_exits_2(self, tmp_path, flags, knob):
         spike = np.zeros((8, 4, 4), dtype=complex)
@@ -428,6 +436,7 @@ class TestResolutionTest:
         (["--separations=-inf"], "separations must be finite, got -inf"),
         (["--separations", "-0.5,0.2"], "separations must be >= 0, got -0.5"),
         (["--separations=-0.5,0.2"], "separations must be >= 0, got -0.5"),
+        (["--separations", "-abc"], "--separations entry '-abc' is not a number"),
     ])
     def test_separations_starting_with_minus_reach_the_range_check(self, tmp_path, argv, message):
         res = run_cli("resolution-test", *argv, "--trials", "2", "--out", tmp_path / "c.csv")
@@ -442,6 +451,7 @@ class TestResolutionTest:
         ("--half-width", "inf", "success_half_width"),
         ("--peak-threshold", "nan", "peak_rel_threshold"),
         ("--peak-threshold", "1", "peak_rel_threshold"),
+        ("--half-width", "-inf", "success_half_width"),
     ])
     def test_invalid_scoring_knob_exits_2(self, tmp_path, flag, value, knob):
         res = run_cli("resolution-test", "--separations", "0.6", "--trials", "2",
@@ -452,6 +462,24 @@ class TestResolutionTest:
 
 
 class TestStructureTest:
+    @pytest.mark.parametrize("flag, value, knob", [
+        ("--tau-p", "nan", "tau_p"),
+        ("--rel-threshold", "0", "rel_threshold"),
+        ("--cell-x", "inf", "cell"),
+    ])
+    def test_bad_scoring_setting_exits_2_before_the_solve(self, tmp_path, monkeypatch, capsys,
+                                                         flag, value, knob):
+        def no_solve(*args, **kwargs):
+            pytest.fail("structure-test reconstructed before checking its scoring settings")
+
+        monkeypatch.setattr(bench, "reconstruct_tensor", no_solve)
+        out = tmp_path / "bundle"
+        rc = cli.main(["structure-test", "--object", "one_step", "--method", "sb-tv", "--nx", "8",
+                       "--ny", "8", flag, value, "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {knob} must ")
+        assert not out.exists()
+
     def test_bundle_written(self, tmp_path):
         out = tmp_path / "bundle"
         res = run_cli(

@@ -1,4 +1,5 @@
-"""scipy is loaded only for point-cloud matching.
+"""scipy is loaded only for point-cloud matching, and ``import tomosar``
+loads every submodule the benchmark tracer rebinds.
 
 ``import tomosar.cli`` and the subcommands that never match clouds
 (simulate, reconstruct, resolution-test) must not import scipy: it costs
@@ -14,19 +15,22 @@ import sys
 
 import pytest
 
-# One fresh interpreter runs every stage through tomosar.cli.main and reports
-# the scipy modules loaded after each, then the evaluate report.
+# One fresh interpreter lists the submodules ``import tomosar`` loads, runs
+# every stage through tomosar.cli.main and reports the scipy modules loaded
+# after each, then the evaluate report.
 SCRIPT = r"""
 import json, os, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-import tomosar, tomosar.cli
+import tomosar
+package = sorted(m for m in sys.modules if m.startswith("tomosar."))
+import tomosar.cli
 
 d = sys.argv[1]
 p = lambda name: os.path.join(d, name)
-stages = {"import": scipy_modules()}
+stages = {"import": scipy_modules(), "package": package}
 for name, argv in [
     ("simulate", ["simulate", "--model", "one_step", "--nx", "4", "--ny", "4", "--seed", "3",
                   "--out-scene", p("scene.tsr3"), "--out-echo", p("echo.tsr3")]),
@@ -74,6 +78,11 @@ def stages(tmp_path_factory):
                          env={**os.environ, "TOMOSAR_THREADS": "1"})
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
+
+
+def test_package_import_loads_every_submodule(stages):
+    names = ("bench", "fileio", "metrics", "sensing", "simulate", "solvers", "tensor")
+    assert {f"tomosar.{name}" for name in names} <= set(stages["package"])
 
 
 def test_import_loads_no_scipy(stages):

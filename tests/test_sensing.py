@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import tomosar
+from tomosar import fileio
 from tomosar.errors import ConfigurationError
 from tomosar.sensing import (
     DEFAULT_SLANT_RANGE_M,
@@ -268,8 +268,8 @@ class TestGeometryRoundtrip:
     def test_json_roundtrip(self, tmp_path):
         g = default_geometry()
         path = str(tmp_path / "g.json")
-        tomosar.write_geometry(path, g)
-        back = tomosar.read_geometry(path)
+        fileio.write_geometry(path, g)
+        back = fileio.read_geometry(path)
         assert np.array_equal(back.baselines_m, g.baselines_m)
         assert np.array_equal(back.elevation_grid_m, g.elevation_grid_m)
         assert back.wavelength_m == g.wavelength_m

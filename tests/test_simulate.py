@@ -1,4 +1,4 @@
-"""Scene generation: buildings, normalization, augmentation, projection."""
+"""Scene generation: buildings, normalization, projection."""
 
 import math
 
@@ -11,7 +11,6 @@ from tomosar.simulate import (
     BuildingModel,
     GridSpec,
     PointCloud,
-    augment,
     generate_building,
     generate_echo,
     make_fiber_dataset,
@@ -144,45 +143,6 @@ class TestNormalize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalize(PointCloud.from_xyz(np.zeros((0, 3))))
-
-
-class TestAugment:
-    def test_identity_transform(self):
-        r = np.random.default_rng(2)
-        cloud = PointCloud.from_xyz(r.uniform(0, 1, (20, 3)))
-        out = augment(cloud, (1.0, 1.0), (0.0, 0.0), seed=0)
-        assert np.allclose(out.xyz, cloud.xyz, atol=1e-15)
-
-    def test_seed_determinism(self):
-        r = np.random.default_rng(3)
-        cloud = PointCloud.from_xyz(r.uniform(0, 1, (20, 3)))
-        a = augment(cloud, (0.5, 1.0), (-0.2, 0.2), seed=9)
-        b = augment(cloud, (0.5, 1.0), (-0.2, 0.2), seed=9)
-        assert np.array_equal(a.xyz, b.xyz)
-
-    def test_half_scale_halves_pairwise_distances(self):
-        r = np.random.default_rng(4)
-        cloud = PointCloud.from_xyz(r.uniform(0.1, 0.6, (15, 3)))
-        out = augment(cloud, (0.5, 0.5), (0.0, 0.0), seed=0)
-        d_in = np.linalg.norm(cloud.xyz[:, None] - cloud.xyz[None, :], axis=-1)
-        d_out = np.linalg.norm(out.xyz[:, None] - out.xyz[None, :], axis=-1)
-        assert np.allclose(d_out, 0.5 * d_in, rtol=1e-12, atol=1e-15)
-
-    def test_output_clamped_to_unit_cube(self):
-        r = np.random.default_rng(5)
-        cloud = PointCloud.from_xyz(r.uniform(0, 1, (40, 3)))
-        out = augment(cloud, (1.0, 1.0), (0.3, 0.3), seed=0)
-        assert out.xyz.min() >= 0.0 and out.xyz.max() <= 1.0
-
-    def test_degenerate_transform_rejected(self):
-        cloud = PointCloud.from_xyz(np.full((3, 3), 0.5))
-        with pytest.raises(ConfigurationError):
-            augment(cloud, (1.0, 1.0), (1.5, 1.5), seed=0)
-
-    def test_bad_scale_range_rejected(self):
-        cloud = PointCloud.from_xyz(np.full((3, 3), 0.5))
-        with pytest.raises(ConfigurationError):
-            augment(cloud, (0.0, 1.0), (0.0, 0.0), seed=0)
 
 
 class TestProjectToGrid:
