@@ -35,9 +35,9 @@ DEFAULT_SEPARATIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
 UNIT_COLUMNS = 512
 
 
-def detect_peaks(mag, rel_threshold=0.25, min_gap=1):
+def detect_peaks(mag, rel_threshold=0.25):
     """Indices of local maxima above rel_threshold * max, strongest-first
-    non-maximum suppression over ``min_gap`` bins; returned sorted ascending.
+    non-maximum suppression of adjacent bins; returned sorted ascending.
     """
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 1:
@@ -58,7 +58,7 @@ def detect_peaks(mag, rel_threshold=0.25, min_gap=1):
     candidates.sort(key=lambda i: (-mag[i], i))
     accepted = []
     for i in candidates:
-        if all(abs(i - j) > min_gap for j in accepted):
+        if all(abs(i - j) > 1 for j in accepted):
             accepted.append(i)
     return sorted(accepted)
 

@@ -182,9 +182,7 @@ def cmd_train_lista(args):
     if args.fibers < 1:
         raise ConfigurationError("--fibers must be >= 1")
     dataset = make_fiber_dataset(a, args.fibers, args.seed, snr_db=args.snr)
-    params, trace = lista_train(
-        a, dataset, k_blocks=args.blocks, epochs=args.epochs, lr=args.lr, seed=args.seed
-    )
+    params, trace = lista_train(a, dataset, k_blocks=args.blocks, epochs=args.epochs, lr=args.lr)
     fileio.write_lista_params(args.out_params, params)
     if args.out_loss:
         lines = ["epoch,loss"] + [f"{i},{float(v)!r}" for i, v in enumerate(trace)]

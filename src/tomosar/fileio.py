@@ -17,6 +17,7 @@ identical bytes.
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -115,29 +116,21 @@ def _build(path, cls, **fields):
 
 
 def write_geometry(path, g: SystemGeometry):
-    write_json(
-        path,
-        {
-            "wavelength_m": g.wavelength_m,
-            "baselines_m": [float(b) for b in g.baselines_m],
-            "reference_slant_range_m": g.reference_slant_range_m,
-            "reference_incidence_deg": g.reference_incidence_deg,
-            "elevation_grid_m": [float(s) for s in g.elevation_grid_m],
-        },
-    )
+    """One key per SystemGeometry field; an ndarray field is a list of numbers."""
+    doc = {}
+    for f in fields(SystemGeometry):
+        v = getattr(g, f.name)
+        doc[f.name] = [float(e) for e in v] if f.type is np.ndarray else v
+    write_json(path, doc)
 
 
 def read_geometry(path) -> SystemGeometry:
     obj = read_json_object(path, "geometry")
-    return _build(
-        path,
-        SystemGeometry,
-        wavelength_m=number_field(path, obj, "wavelength_m", "geometry"),
-        baselines_m=number_field(path, obj, "baselines_m", "geometry", vector=True),
-        reference_slant_range_m=number_field(path, obj, "reference_slant_range_m", "geometry"),
-        reference_incidence_deg=number_field(path, obj, "reference_incidence_deg", "geometry"),
-        elevation_grid_m=number_field(path, obj, "elevation_grid_m", "geometry", vector=True),
-    )
+    values = {
+        f.name: number_field(path, obj, f.name, "geometry", vector=f.type is np.ndarray)
+        for f in fields(SystemGeometry)
+    }
+    return _build(path, SystemGeometry, **values)
 
 
 def write_point_cloud(path, cloud):
@@ -191,29 +184,37 @@ def read_lista_params(path):
     return params
 
 
-RESOLUTION_CURVE_HEADER = (
-    "separation_rho_s,success_rate,mean_pos_lo_m,mean_pos_hi_m,"
-    "std_pos_lo_m,std_pos_hi_m,trials,crlb"
+# The columns of the resolution-curve CSV in file order.  Every row fills
+# the _CURVE_REQUIRED ones; a cell of another column is empty for None, and
+# the reserved crlb column is empty in every row a study writes.
+RESOLUTION_CURVE_COLUMNS = (
+    "separation_rho_s", "success_rate", "mean_pos_lo_m", "mean_pos_hi_m",
+    "std_pos_lo_m", "std_pos_hi_m", "trials", "crlb",
 )
+RESOLUTION_CURVE_HEADER = ",".join(RESOLUTION_CURVE_COLUMNS)
+_CURVE_REQUIRED = ("separation_rho_s", "success_rate", "trials")
+
+
+def _curve_cell(column, v):
+    if v is None and column not in _CURVE_REQUIRED:
+        return ""
+    return repr(int(v) if column == "trials" else float(v))
+
+
+def _curve_value(column, cell):
+    if cell == "" and column not in _CURVE_REQUIRED:
+        return None
+    return int(cell) if column == "trials" else float(cell)
 
 
 def write_resolution_curve(path, rows):
-    """Write resolution-test rows; the crlb column is reserved and left empty."""
+    """Write resolution-test rows; an optional column a row lacks is left empty."""
     lines = [RESOLUTION_CURVE_HEADER]
     for r in rows:
-        lines.append(
-            f"{float(r['separation_rho_s'])!r},{float(r['success_rate'])!r},"
-            f"{_opt(r['mean_pos_lo_m'])},{_opt(r['mean_pos_hi_m'])},"
-            f"{_opt(r['std_pos_lo_m'])},{_opt(r['std_pos_hi_m'])},"
-            f"{int(r['trials'])},"
-        )
+        lines.append(",".join(_curve_cell(c, r.get(c)) for c in RESOLUTION_CURVE_COLUMNS))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
-
-
-def _opt(v):
-    return "" if v is None else repr(float(v))
 
 
 def read_resolution_curve(path):
@@ -224,18 +225,7 @@ def read_resolution_curve(path):
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 8:
+        if len(parts) != len(RESOLUTION_CURVE_COLUMNS):
             raise ValueError(f"{path}: malformed row {ln!r}")
-        rows.append(
-            {
-                "separation_rho_s": float(parts[0]),
-                "success_rate": float(parts[1]),
-                "mean_pos_lo_m": None if parts[2] == "" else float(parts[2]),
-                "mean_pos_hi_m": None if parts[3] == "" else float(parts[3]),
-                "std_pos_lo_m": None if parts[4] == "" else float(parts[4]),
-                "std_pos_hi_m": None if parts[5] == "" else float(parts[5]),
-                "trials": int(parts[6]),
-                "crlb": None if parts[7] == "" else float(parts[7]),
-            }
-        )
+        rows.append({c: _curve_value(c, p) for c, p in zip(RESOLUTION_CURVE_COLUMNS, parts)})
     return rows

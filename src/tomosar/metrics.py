@@ -10,7 +10,7 @@ load it.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def scoring_settings(rel_threshold=0.1, tau_p=None, cell=(1.0, 1.0, 1.0)):
 
     rel_threshold must lie in (0, 1], cell hold three finite sizes > 0 and a
     given tau_p be finite and positive; tau_p None becomes one voxel
-    diagonal of ``cell``.  The ValueError names the bad setting, so a caller
+    diagonal of ``cell``, which must be finite.  The ValueError names the bad setting, so a caller
     can check before it reconstructs anything.
     """
     if not (0.0 < rel_threshold <= 1.0):
@@ -55,17 +55,19 @@ def scoring_settings(rel_threshold=0.1, tau_p=None, cell=(1.0, 1.0, 1.0)):
         raise ValueError(f"cell must hold three finite sizes > 0, got {cell.tolist()}")
     if tau_p is None:
         tau_p = math.sqrt(sum(c * c for c in cell.tolist()))
+        if not math.isfinite(tau_p):
+            raise ValueError(f"cell must have a finite voxel diagonal, got {cell.tolist()}")
     elif not (math.isfinite(tau_p) and tau_p > 0):
         raise ValueError(f"tau_p must be finite and positive, got {tau_p}")
     return tau_p, cell
 
 
-def extract_point_cloud(x, rel_threshold=0.1, cell=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
+def extract_point_cloud(x, rel_threshold=0.1, cell=(1.0, 1.0, 1.0)):
     """Turn a tensor into a scatterer cloud by relative magnitude thresholding.
 
     Voxels with magnitude above rel_threshold * max become points at their
     voxel-center coordinates (xyz columns follow the tensor axis order,
-    scaled by ``cell`` and shifted by ``origin``), carrying the magnitude as
+    scaled by ``cell``, voxel (0, 0, 0) at the origin), carrying the magnitude as
     amplitude and the angle (mod 2 pi) as phase.  rel_threshold = 1 keeps
     exactly the maximal voxel(s); an all-zero tensor gives an empty cloud.
     """
@@ -83,8 +85,7 @@ def extract_point_cloud(x, rel_threshold=0.1, cell=(1.0, 1.0, 1.0), origin=(0.0,
     else:
         mask = mag > rel_threshold * peak
     idx = np.argwhere(mask)
-    origin = np.asarray(origin, dtype=np.float64)
-    xyz = idx * cell[None, :] + origin[None, :]
+    xyz = idx * cell[None, :]
     amps = mag[mask]
     phases = np.mod(np.angle(x[mask]), 2.0 * np.pi)
     return PointCloud(xyz=xyz, amplitude=amps, phase=phases)
@@ -173,19 +174,7 @@ class EvalReport:
     tau_p: float
 
     def to_dict(self):
-        return {
-            "rmse": self.rmse,
-            "psnr_db": self.psnr_db,
-            "precision": self.precision,
-            "recall": self.recall,
-            "d_pcm": self.d_pcm,
-            "variance": self.variance,
-            "reconstruction_time_s": self.reconstruction_time_s,
-            "n_p": self.n_p,
-            "a_p": self.a_p,
-            "t_p": dict(self.t_p),
-            "tau_p": self.tau_p,
-        }
+        return asdict(self)
 
 
 def evaluate_tensors(

@@ -71,11 +71,6 @@ class SystemGeometry:
     def aperture_m(self):
         return float(self.baselines_m.max() - self.baselines_m.min())
 
-    @property
-    def reference_height_m(self):
-        """Platform height above the reference point on the ground."""
-        return self.reference_slant_range_m * math.cos(math.radians(self.reference_incidence_deg))
-
 
 def theoretical_resolution(g: SystemGeometry) -> float:
     """Rayleigh elevation resolution: wavelength * range / (2 * aperture)."""

@@ -1,8 +1,9 @@
 """Scene simulation: building point clouds, grid projection, echo synthesis.
 
 Pipeline: generate_building -> normalize -> project_to_grid ->
-generate_echo.  Building models live in a local ground frame (x azimuth,
-y ground range increasing away from the sensor, z height, meters).
+generate_echo.  Buildings are a fixed catalogue of kinds (``BUILDINGS``),
+seen from the default incidence, in a local ground frame (x azimuth, y
+ground range increasing away from the sensor, z height, meters).
 Projection converts each point to per-point slant range R and perpendicular
 elevation s against a single sensor reference position, quantizes to the
 nearest voxel, assigns a random amplitude in [1, 4) and the two-way
@@ -17,6 +18,7 @@ import numpy as np
 from . import tensor
 from .errors import ConfigurationError
 from .sensing import (
+    DEFAULT_INCIDENCE_DEG,
     SystemGeometry,
     add_noise,
     complex_noise,
@@ -26,7 +28,17 @@ from .sensing import (
     theoretical_resolution,
 )
 
-BUILDING_KINDS = ("box", "l_shape", "one_step", "multi_step", "flat")
+# (width, depth, height) in meters of each building kind, in the local ground frame
+BUILDINGS = {
+    "box": (12.0, 10.0, 14.0),
+    "l_shape": (14.0, 12.0, 10.0),
+    "one_step": (12.0, 8.0, 10.0),
+    "multi_step": (12.0, 12.0, 12.0),
+    "flat": (16.0, 14.0, 2.5),
+}
+# unit vector from the scene toward the sensor, against which facets are culled
+_THETA = math.radians(DEFAULT_INCIDENCE_DEG)
+_LOOK = np.array([0.0, -math.sin(_THETA), math.cos(_THETA)])
 
 
 @dataclass
@@ -59,53 +71,6 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class BuildingModel:
-    """Parametric building in the local ground frame.
-
-    look_direction is the unit vector from the scene toward the sensor; it
-    drives back-face culling during surface sampling.
-    """
-
-    kind: str
-    width_m: float = 12.0
-    depth_m: float = 10.0
-    height_m: float = 12.0
-    n_steps: int = 3
-    look_direction: tuple = None
-
-    def __post_init__(self):
-        if self.kind not in BUILDING_KINDS:
-            raise ConfigurationError(f"unknown building kind {self.kind!r}; choose from {BUILDING_KINDS}")
-        if min(self.width_m, self.depth_m, self.height_m) <= 0:
-            raise ConfigurationError("building dimensions must be positive")
-        if self.kind == "multi_step" and self.n_steps < 2:
-            raise ConfigurationError("multi_step needs n_steps >= 2")
-        if self.look_direction is None:
-            theta = math.radians(31.6453)
-            object.__setattr__(self, "look_direction", (0.0, -math.sin(theta), math.cos(theta)))
-        look = np.asarray(self.look_direction, dtype=np.float64)
-        nrm = np.linalg.norm(look)
-        if not (nrm > 0):
-            raise ConfigurationError("look_direction must be a nonzero vector")
-        object.__setattr__(self, "look_direction", tuple(look / nrm))
-
-    @classmethod
-    def preset(cls, kind, **overrides):
-        dims = {
-            "box": dict(width_m=12.0, depth_m=10.0, height_m=14.0),
-            "one_step": dict(width_m=12.0, depth_m=8.0, height_m=10.0),
-            "multi_step": dict(width_m=12.0, depth_m=12.0, height_m=12.0, n_steps=3),
-            "l_shape": dict(width_m=14.0, depth_m=12.0, height_m=10.0),
-            "flat": dict(width_m=16.0, depth_m=14.0, height_m=2.5),
-        }
-        if kind not in dims:
-            raise ConfigurationError(f"unknown building kind {kind!r}; choose from {BUILDING_KINDS}")
-        cfg = dims[kind]
-        cfg.update(overrides)
-        return cls(kind=kind, **cfg)
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """Voxel grid in the slant frame: (elevation, slant range, azimuth).
 
@@ -132,10 +97,6 @@ class GridSpec:
     @property
     def dims(self):
         return (self.n_z, self.n_x, self.n_y)
-
-    @property
-    def center_index(self):
-        return (self.n_z // 2, self.n_x // 2, self.n_y // 2)
 
     @classmethod
     def from_geometry(cls, g: SystemGeometry, n_x=64, n_y=64, cell_x=0.5, cell_y=0.5):
@@ -183,9 +144,11 @@ def _sample_facet(origin, e1, e2, spacing, rng, jitter):
     return pts
 
 
-def _facets_for(model: BuildingModel):
-    """Rectangular facets as (origin, edge1, edge2, outward normal)."""
-    w, d, h = model.width_m, model.depth_m, model.height_m
+def _facets_for(kind):
+    """Rectangular facets of a building kind as (origin, edge1, edge2, outward normal)."""
+    if kind not in BUILDINGS:
+        raise ConfigurationError(f"unknown building kind {kind!r}; choose from {tuple(BUILDINGS)}")
+    w, d, h = BUILDINGS[kind]
     ex = np.array([1.0, 0.0, 0.0])
     ey = np.array([0.0, 1.0, 0.0])
     ez = np.array([0.0, 0.0, 1.0])
@@ -197,24 +160,24 @@ def _facets_for(model: BuildingModel):
     # Ground apron on the sensor side, as deep as the building, shared by every kind.
     add([0.0, -d, 0.0], w * ex, d * ey, ez)
 
-    if model.kind in ("box", "flat"):
+    if kind in ("box", "flat"):
         add([0.0, 0.0, 0.0], w * ex, h * ez, -ey)          # front wall
         add([0.0, d, 0.0], w * ex, h * ez, ey)             # back wall
         add([0.0, 0.0, 0.0], d * ey, h * ez, -ex)          # left wall
         add([w, 0.0, 0.0], d * ey, h * ez, ex)             # right wall
         add([0.0, 0.0, h], w * ex, d * ey, ez)             # roof
-    elif model.kind == "one_step":
+    elif kind == "one_step":
         add([0.0, 0.0, 0.0], w * ex, h * ez, -ey)          # facade
         add([0.0, d, 0.0], w * ex, h * ez, ey)             # back wall
         add([0.0, 0.0, h], w * ex, d * ey, ez)             # roof
-    elif model.kind == "multi_step":
-        n = model.n_steps
+    elif kind == "multi_step":
+        n = 3
         dh, dd = h / n, d / n
         for i in range(n):
             add([0.0, i * dd, i * dh], w * ex, dh * ez, -ey)        # riser facade
             add([0.0, i * dd, (i + 1) * dh], w * ex, dd * ey, ez)   # tread roof
         add([0.0, d, 0.0], w * ex, h * ez, ey)             # back wall
-    elif model.kind == "l_shape":
+    elif kind == "l_shape":
         w2, d1 = w / 2.0, d / 2.0
         add([0.0, 0.0, 0.0], w * ex, h * ez, -ey)          # front wall, full width
         add([0.0, 0.0, h], w * ex, d1 * ey, ez)            # roof of the front block
@@ -225,25 +188,22 @@ def _facets_for(model: BuildingModel):
     return facets
 
 
-def generate_building(model: BuildingModel, spacing: float, seed: int) -> PointCloud:
-    """Surface-sample the visible facets of a building model.
+def generate_building(kind: str, spacing: float, seed: int) -> PointCloud:
+    """Surface-sample the visible facets of one kind of ``BUILDINGS``.
 
     Facets whose outward normal does not face the sensor (dot product with
-    the look direction <= 0) are dropped, approximating self-occlusion.
-    Sample positions get a small in-plane jitter drawn from ``seed``.
+    the look direction at the default incidence <= 0) are dropped,
+    approximating self-occlusion.  Sample positions get a small in-plane
+    jitter drawn from ``seed``.
     """
     if spacing <= 0:
         raise ConfigurationError(f"spacing must be positive, got {spacing}")
-    look = np.asarray(model.look_direction, dtype=np.float64)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     jitter = 0.2 * spacing
     chunks = []
-    for origin, e1, e2, normal in _facets_for(model):
-        if float(np.dot(normal, look)) <= 0.0:
-            continue
-        chunks.append(_sample_facet(origin, e1, e2, spacing, rng, jitter))
-    if not chunks:
-        raise ConfigurationError("no facet faces the sensor; check look_direction")
+    for origin, e1, e2, normal in _facets_for(kind):
+        if float(np.dot(normal, _LOOK)) > 0.0:
+            chunks.append(_sample_facet(origin, e1, e2, spacing, rng, jitter))
     return PointCloud.from_xyz(np.concatenate(chunks, axis=0))
 
 
@@ -346,7 +306,7 @@ def _paint_segments(t, segments):
 _OBJECT_PARAMS = {
     "two_scatterers": ("separation_rho",),
     "one_step": (),
-    "multi_step": ("n_steps",),
+    "multi_step": (),
     "building": ("spacing_m", "scene_size_m"),
 }
 
@@ -355,11 +315,12 @@ def make_test_object(kind: str, g: SystemGeometry, grid: GridSpec, seed: int = 0
     """Canonical ground-truth tensors for the benchmark tests.
 
     Kinds: "two_scatterers" (param separation_rho in multiples of the
-    Rayleigh resolution), "one_step", "multi_step" (param n_steps;
-    axis-aligned voxel structures), and "building:<kind>" (params spacing_m,
-    scene_size_m; full point-cloud pipeline).  A parameter the kind does not
-    accept raises ConfigurationError.  Returns (scene tensor, metadata
-    dict); metadata lists the true scatterer voxels.
+    Rayleigh resolution), "one_step" and "multi_step" (one and three steps;
+    axis-aligned voxel structures), and "building:<kind>" with a kind of
+    ``BUILDINGS`` (params spacing_m, scene_size_m; full point-cloud
+    pipeline).  A parameter the kind does not accept raises
+    ConfigurationError.  Returns (scene tensor, metadata dict); metadata
+    lists the true scatterer voxels.
     """
     accepted = _OBJECT_PARAMS.get("building" if kind.startswith("building:") else kind)
     if accepted is None:
@@ -404,7 +365,7 @@ def make_test_object(kind: str, g: SystemGeometry, grid: GridSpec, seed: int = 0
 
     if kind in ("one_step", "multi_step"):
         t = np.zeros(grid.dims, dtype=np.complex128)
-        n_steps = 1 if kind == "one_step" else int(params.get("n_steps", 3))
+        n_steps = 1 if kind == "one_step" else 3
         azimuth_span = [n_y // 2] if kind == "one_step" else list(
             range(max(0, n_y // 2 - n_y // 8), min(n_y, n_y // 2 + n_y // 8 + 1))
         )
@@ -438,9 +399,8 @@ def make_test_object(kind: str, g: SystemGeometry, grid: GridSpec, seed: int = 0
 
     if kind.startswith("building:"):
         bkind = kind.split(":", 1)[1]
-        model = BuildingModel.preset(bkind)
         spacing = float(params.get("spacing_m", 0.5))
-        cloud = normalize(generate_building(model, spacing, seed))
+        cloud = normalize(generate_building(bkind, spacing, seed))
         t, info = project_to_grid(cloud, g, grid, seed, scene_size_m=params.get("scene_size_m"))
         occupied = np.argwhere(np.abs(t) > 0)
         meta.update({"building_kind": bkind, "spacing_m": spacing, "true_voxels": occupied.tolist()})
@@ -448,11 +408,11 @@ def make_test_object(kind: str, g: SystemGeometry, grid: GridSpec, seed: int = 0
         return t, meta
 
 
-def make_fiber_dataset(a: np.ndarray, n_fibers: int, seed: int, snr_db: float = 5.0, max_scatterers: int = 3):
+def make_fiber_dataset(a: np.ndarray, n_fibers: int, seed: int, snr_db: float = 5.0):
     """Paired (echo, truth) fiber matrices for learned-solver training.
 
     Returns (Y, X) with Y of shape (n_e, n_fibers) and X of shape
-    (n_z, n_fibers).  Fiber i draws its scatterer count, positions,
+    (n_z, n_fibers).  Fiber i draws its scatterer count (1 to 3), positions,
     amplitudes, phases, and noise from substream (seed, i), so the dataset
     is independent of generation order.
     """
@@ -463,7 +423,7 @@ def make_fiber_dataset(a: np.ndarray, n_fibers: int, seed: int, snr_db: float = 
     Y = np.zeros((n_e, n_fibers), dtype=np.complex128)
     for i in range(n_fibers):
         rng = fiber_rng(seed, i)
-        k = int(rng.integers(1, max_scatterers + 1))
+        k = int(rng.integers(1, 4))
         bins = rng.choice(n_z, size=k, replace=False)
         amps = rng.uniform(1.0, 4.0, size=k)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=k)

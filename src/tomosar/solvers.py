@@ -561,9 +561,9 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
     return (x[:, :, 0] if fibers else x), report
 
 
-def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10, *, fibers=False):
+def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, *, fibers=False):
     """Shallow TV enhancement: approximately solve
-    min_U 1/2 ||U - X||_F^2 + lambda2 TV(U) with ``passes`` fixed
+    min_U 1/2 ||U - X||_F^2 + lambda2 TV(U) with 10 fixed
     :func:`_split_sweep` passes, the data term replaced by the quadratic
     anchor (alpha = 1) and no l1 term.
 
@@ -586,8 +586,8 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10, *, fibers=F
         keep = lambda2 != 0.0 and tensor.tv_norm(x) != 0.0
     if not np.any(keep):
         return x.copy()
-    if inner_iters < 1 or passes < 1 or mu <= 0:
-        raise ConfigurationError("inner_iters, passes must be >= 1 and mu > 0")
+    if inner_iters < 1 or mu <= 0:
+        raise ConfigurationError("inner_iters must be >= 1 and mu > 0")
     tau1 = 1.0 / (1.0 + 8.0 * mu)
     tau2 = 1.0 / mu
     # a batch denoises only its kept fibers, side by side along axis 1
@@ -596,7 +596,7 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, passes=10, *, fibers=F
     v_i = [np.zeros_like(p0) for _ in range(3)]
     b_i = [np.zeros_like(p0) for _ in range(3)]
     bufs = _sweep_buffers(p0.shape)
-    for _ in range(passes):
+    for _ in range(10):
         out = _split_sweep(
             p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters, batch_axis=1 if fibers else None
         )
@@ -761,28 +761,22 @@ def _lista_gradient(y2d, x2d, a, params: LearnedIstaParams, tape):
 def lista_train(a, dataset, k_blocks=9, epochs=200, lr=0.1, seed=0):
     """Train the 2K scalars by projected gradient descent.
 
-    ``dataset`` is a (Y, X) pair of matrices with fibers as columns, or a
-    sequence of (echo fiber, truth fiber) pairs.  The loss is the mean
-    squared magnitude error over all entries, a piecewise-smooth function of
-    the scalars; its gradient is exact, from one reverse pass through the K
-    blocks (:func:`_lista_gradient`), with the subgradient 0 at the kinks
-    where an entry shrinks to zero.  Each epoch backtracks the step from
+    ``dataset`` is a (Y, X) pair of matrices with fibers as columns.  The
+    loss is the mean squared magnitude error over all entries, a
+    piecewise-smooth function of the scalars; its gradient is exact, from
+    one reverse pass through the K blocks (:func:`_lista_gradient`), with
+    the subgradient 0 at the kinks where an entry shrinks to zero.  Each epoch backtracks the step from
     ``lr`` until the loss does not increase, so the returned trace is
-    monotone non-increasing.  Training is full-batch and deterministic;
-    ``seed`` is reserved for stochastic variants.
+    monotone non-increasing.  Training is full-batch and deterministic, so
+    ``seed`` is ignored.
 
     Returns (params, loss_trace) with loss_trace of length epochs + 1
     (initial loss first).
     """
-    if isinstance(dataset, tuple) and len(dataset) == 2 and np.asarray(dataset[0]).ndim == 2:
-        y2d = np.asarray(dataset[0], dtype=np.complex128)
-        x2d = np.asarray(dataset[1], dtype=np.complex128)
-    else:
-        pairs = list(dataset)
-        if not pairs:
-            raise ConfigurationError("training dataset is empty")
-        y2d = np.stack([np.asarray(p[0], dtype=np.complex128) for p in pairs], axis=1)
-        x2d = np.stack([np.asarray(p[1], dtype=np.complex128) for p in pairs], axis=1)
+    mats = [np.asarray(m, dtype=np.complex128) for m in dataset] if isinstance(dataset, tuple) else []
+    if len(mats) != 2 or mats[0].ndim != 2 or mats[1].ndim != 2:
+        raise ConfigurationError("training dataset must be a (Y, X) pair of 2-D arrays")
+    y2d, x2d = mats
     if y2d.size == 0 or x2d.size == 0:
         raise ConfigurationError("training dataset is empty")
     if y2d.shape[1] != x2d.shape[1]:

@@ -65,13 +65,8 @@ class TestDetectPeaks:
 
     def test_adjacent_suppression_keeps_strongest(self):
         mag = np.array([0.0, 0.8, 1.0, 0.0, 0.0])
-        # bins 1 and 2 are within min_gap = 1; only the stronger survives
-        assert detect_peaks(mag, min_gap=1) == [2]
-
-    def test_min_gap_widens_exclusion(self):
-        mag = np.array([0.0, 1.0, 0.0, 0.9, 0.0, 0.8, 0.0])
-        assert detect_peaks(mag, min_gap=1) == [1, 3, 5]
-        assert detect_peaks(mag, min_gap=2) == [1, 5]
+        # bins 1 and 2 are adjacent; only the stronger survives
+        assert detect_peaks(mag) == [2]
 
     def test_requires_1d(self):
         with pytest.raises(ValueError):

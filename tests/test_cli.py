@@ -382,6 +382,7 @@ class TestEvaluate:
         (["--cell-y", "nan"], "cell"),
         (["--tau-p", "-inf"], "tau_p"),
         (["--cell-z", "-inf"], "cell"),
+        (["--cell-x", "1e200"], "cell"),
     ])
     def test_invalid_matching_knob_exits_2(self, tmp_path, flags, knob):
         spike = np.zeros((8, 4, 4), dtype=complex)
@@ -466,6 +467,7 @@ class TestStructureTest:
         ("--tau-p", "nan", "tau_p"),
         ("--rel-threshold", "0", "rel_threshold"),
         ("--cell-x", "inf", "cell"),
+        ("--cell-x", "1e200", "cell"),
     ])
     def test_bad_scoring_setting_exits_2_before_the_solve(self, tmp_path, monkeypatch, capsys,
                                                          flag, value, knob):

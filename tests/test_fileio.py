@@ -1,5 +1,6 @@
 """Serialization: tensor container, JSON documents, CSV tables."""
 
+import hashlib
 import json
 import struct
 
@@ -113,13 +114,20 @@ class TestGeometryDocument:
             "wavelength_m",
         ]
 
+    def test_default_geometry_bytes_pinned(self, tmp_path):
+        path = tmp_path / "g.json"
+        fileio.write_geometry(str(path), default_geometry())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "f145537836bfac0bf35f2f987634437ad9698843cdad02c8946a986feee2afba"
+
     def test_missing_key_rejected(self, tmp_path):
         path = str(tmp_path / "g.json")
         fileio.write_geometry(path, default_geometry())
         doc = json.load(open(path))
-        del doc["wavelength_m"]
+        del doc["wavelength_m"], doc["elevation_grid_m"]
         json.dump(doc, open(path, "w"))
-        with pytest.raises(ConfigurationError):
+        # keys are checked in the order of the SystemGeometry fields
+        with pytest.raises(ConfigurationError, match="missing geometry key 'wavelength_m'"):
             fileio.read_geometry(path)
 
     @pytest.mark.parametrize("change, message", [

@@ -78,9 +78,9 @@ class TestExtract:
     def test_single_spike(self):
         t = np.zeros((4, 4, 4), dtype=complex)
         t[1, 2, 3] = 2.0j
-        cloud = extract_point_cloud(t, cell=(0.5, 1.0, 2.0), origin=(10.0, 20.0, 30.0))
+        cloud = extract_point_cloud(t, cell=(0.5, 1.0, 2.0))
         assert cloud.n_points == 1
-        assert cloud.xyz[0].tolist() == [10.0 + 0.5, 20.0 + 2.0, 30.0 + 6.0]
+        assert cloud.xyz[0].tolist() == [0.5, 2.0, 6.0]
         assert cloud.amplitude[0] == pytest.approx(2.0)
 
     def test_threshold_one_keeps_only_maxima(self):
@@ -290,6 +290,8 @@ class TestEvaluateTensors:
         ({"tau_p": float("nan")}, "tau_p must be finite and positive"),
         ({"cell": (1.0, -1.0, 1.0)}, "cell must hold three finite sizes > 0"),
         ({"cell": (1.0, 1.0, float("nan"))}, "cell must hold three finite sizes > 0"),
+        # finite sizes whose squares overflow the default tau_p
+        ({"cell": (1.0, 1e200, 1.0)}, r"^cell must have a finite voxel diagonal, got \[1.0, 1e\+200, 1.0\]$"),
     ])
     def test_bad_knobs_rejected_before_matching(self, monkeypatch, knobs, message):
         t = np.zeros((4, 4, 4), dtype=complex)

@@ -45,8 +45,6 @@ class TestGeometry:
         assert g.wavelength_m == pytest.approx(0.031)
         assert g.reference_slant_range_m == pytest.approx(2040.3406)
         assert g.reference_incidence_deg == pytest.approx(31.6453)
-        # R0*cos(theta) is the platform reference height
-        assert g.reference_height_m == pytest.approx(1736.9668, abs=0.05)
         # grid is centered: the middle elevation is exactly zero
         assert g.elevation_grid_m[g.n_elevations // 2] == 0.0
 

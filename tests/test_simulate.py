@@ -1,6 +1,8 @@
 """Scene generation: buildings, normalization, projection."""
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from tomosar.errors import ConfigurationError
 from tomosar.sensing import build_steering_matrix, default_geometry, forward
 from tomosar.simulate import (
-    BuildingModel,
+    BUILDINGS,
     GridSpec,
     PointCloud,
     generate_building,
@@ -67,9 +69,8 @@ class TestGenerateBuilding:
         # default look direction: toward the sensor (up-range, elevated).
         # facing wall, roof, and the ground apron survive; the far wall
         # cannot face the sensor and is culled.
-        model = BuildingModel.preset("box")
-        d, h = model.depth_m, model.height_m
-        cloud = generate_building(model, spacing=0.5, seed=0)
+        _, d, h = BUILDINGS["box"]
+        cloud = generate_building("box", spacing=0.5, seed=0)
         xyz = cloud.xyz
         # in-plane jitter keeps each facet's defining coordinate exact
         front = (np.abs(xyz[:, 1]) < 1e-9) & (xyz[:, 2] > 0.25)
@@ -82,37 +83,30 @@ class TestGenerateBuilding:
         assert back.sum() == 0
 
     def test_one_step_has_floor_facade_roof(self):
-        model = BuildingModel.preset("one_step")
-        cloud = generate_building(model, spacing=0.5, seed=1)
+        cloud = generate_building("one_step", spacing=0.5, seed=1)
         xyz = cloud.xyz
-        assert np.any(np.abs(xyz[:, 2]) < 1e-9)                      # floor
-        assert np.any((np.abs(xyz[:, 1]) < 1e-9) & (xyz[:, 2] > 1))  # facade
-        assert np.any(np.abs(xyz[:, 2] - model.height_m) < 1e-9)     # roof
+        assert np.any(np.abs(xyz[:, 2]) < 1e-9)                         # floor
+        assert np.any((np.abs(xyz[:, 1]) < 1e-9) & (xyz[:, 2] > 1))     # facade
+        assert np.any(np.abs(xyz[:, 2] - BUILDINGS["one_step"][2]) < 1e-9)  # roof
 
     def test_count_scales_with_inverse_spacing_squared(self):
-        model = BuildingModel.preset("box")
-        n_coarse = generate_building(model, spacing=0.5, seed=0).n_points
-        n_fine = generate_building(model, spacing=0.25, seed=0).n_points
+        n_coarse = generate_building("box", spacing=0.5, seed=0).n_points
+        n_fine = generate_building("box", spacing=0.25, seed=0).n_points
         assert n_fine / n_coarse == pytest.approx(4.0, rel=0.10)
 
     def test_seed_determinism(self):
-        model = BuildingModel.preset("l_shape")
-        a = generate_building(model, spacing=0.5, seed=3)
-        b = generate_building(model, spacing=0.5, seed=3)
+        a = generate_building("l_shape", spacing=0.5, seed=3)
+        b = generate_building("l_shape", spacing=0.5, seed=3)
         assert np.array_equal(a.xyz, b.xyz)
 
     def test_nonpositive_spacing_rejected(self):
         with pytest.raises(ConfigurationError):
-            generate_building(BuildingModel.preset("box"), spacing=0.0, seed=0)
-
-    def test_no_visible_facet_rejected(self):
-        model = BuildingModel.preset("box", look_direction=(0.0, 0.0, -1.0))
-        with pytest.raises(ConfigurationError):
-            generate_building(model, spacing=0.5, seed=0)
+            generate_building("box", spacing=0.0, seed=0)
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BuildingModel.preset("pyramid")
+        message = "unknown building kind 'pyramid'; choose from ('box', 'l_shape', 'one_step', 'multi_step', 'flat')"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            generate_building("pyramid", spacing=0.5, seed=0)
 
 
 class TestNormalize:
@@ -152,11 +146,11 @@ class TestProjectToGrid:
         cloud = PointCloud.from_xyz(np.array([[0.5, 0.5, 0.5]]))
         t, info = project_to_grid(cloud, g, grid, seed=0)
         occupied = np.argwhere(np.abs(t) > 0)
-        assert occupied.tolist() == [list(grid.center_index)]
+        assert occupied.tolist() == [[32, 32, 32]]
         assert info["placed"] == 1
         assert info["dropped_out_of_grid"] == 0
         # phase encodes the reference slant range exactly
-        phase = float(np.angle(t[grid.center_index]))
+        phase = float(np.angle(t[32, 32, 32]))
         expect = (-4.0 * np.pi * g.reference_slant_range_m / g.wavelength_m) % (2 * np.pi)
         assert np.exp(1j * (phase - expect)) == pytest.approx(1.0, abs=1e-6)
 
@@ -170,7 +164,7 @@ class TestProjectToGrid:
         assert info["collisions"] == 1
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
         amps = rng.uniform(1.0, 4.0, size=2)
-        assert np.abs(t[grid.center_index]) == pytest.approx(amps[0], rel=1e-12)
+        assert np.abs(t[32, 32, 32]) == pytest.approx(amps[0], rel=1e-12)
 
     def test_half_wavelength_multiple_gives_equal_phase(self):
         # displacing a point along the line of sight by a whole number of
@@ -310,7 +304,7 @@ class TestMakeTestObject:
     def test_multi_step_segment_count(self):
         g = default_geometry()
         grid = default_grid()
-        t, meta = make_test_object("multi_step", g, grid, n_steps=3)
+        t, meta = make_test_object("multi_step", g, grid)
         assert meta["segments_per_slice"] == 1 + 2 * 3
         k = grid.n_y // 2
         mask = np.abs(t[:, :, k]) > 0
@@ -336,6 +330,7 @@ class TestMakeTestObject:
         ("two_scatterers", "separation", "separation_rho"),
         ("building:box", "augment", "spacing_m, scene_size_m"),
         ("one_step", "n_steps", "none"),
+        ("multi_step", "n_steps", "none"),
     ])
     def test_unknown_parameter_rejected(self, kind, key, accepted):
         g = default_geometry()
@@ -364,6 +359,19 @@ class TestMakeTestObject:
         t2, _ = make_test_object("building:multi_step", g, grid, seed=11)
         assert np.array_equal(t1, t2)
 
+    @pytest.mark.parametrize("kind, digest", [
+        ("box", "642e1674184ec83383b315145b00115629035f7028d71685e60815e87540dcfa"),
+        ("l_shape", "b3247d6549d7c3373bb5e2f0bb7c4d54a57904a4dd3ac3542646a24904c5a031"),
+        ("one_step", "1396e701daf936db7c55ec5d19db4189702fc9f7c642df3d1f016bc2ce7c555d"),
+        ("multi_step", "d9f122c84178a3c051cc530e99255e5dd740d9acbebe9f33794b15b8287bf26b"),
+        ("flat", "2a8fb691568ca240ba2b34fe6f56162fba2be7691a6f00ec2f94e783b13216aa"),
+    ])
+    def test_building_scene_bytes_pinned(self, kind, digest):
+        # every byte of each catalogue scene: dimensions, steps, culling,
+        # sampling and projection
+        t, _ = make_test_object(f"building:{kind}", default_geometry(), default_grid(n_x=32, n_y=32), seed=3)
+        assert hashlib.sha256(t.tobytes()).hexdigest() == digest
+
 
 class TestFiberDataset:
     def test_shapes_and_determinism(self):
@@ -389,6 +397,6 @@ class TestFiberDataset:
 
     def test_sparsity_bound(self):
         a = build_steering_matrix(default_geometry())
-        _, x = make_fiber_dataset(a, 20, seed=4, max_scatterers=3)
+        _, x = make_fiber_dataset(a, 20, seed=4)
         per_fiber = np.count_nonzero(x, axis=0)
         assert np.all(per_fiber >= 1) and np.all(per_fiber <= 3)

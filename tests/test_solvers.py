@@ -598,7 +598,7 @@ class TestLearnedIsta:
         a = build_steering_matrix(g)
         from tomosar.simulate import make_fiber_dataset
         y2d, x2d = make_fiber_dataset(a, 40, seed=5, snr_db=10.0)
-        params, trace = lista_train(a, (y2d, x2d), k_blocks=4, epochs=25, seed=0)
+        params, trace = lista_train(a, (y2d, x2d), k_blocks=4, epochs=25)
         assert len(trace) == 26
         assert all(trace[i + 1] <= trace[i] + 1e-15 for i in range(25))
         assert params.blocks == 4
@@ -633,21 +633,23 @@ class TestLearnedIsta:
         assert np.array_equal(p1.theta, p2.theta)
         assert t1 == t2
 
-    def test_pair_list_matches_matrix_dataset(self):
-        g = small_geometry()
-        a = build_steering_matrix(g)
-        from tomosar.simulate import make_fiber_dataset
-        y2d, x2d = make_fiber_dataset(a, 8, seed=8, snr_db=10.0)
-        pairs = [(y2d[:, j], x2d[:, j]) for j in range(8)]
-        p1, t1 = lista_train(a, (y2d, x2d), k_blocks=2, epochs=5)
-        p2, t2 = lista_train(a, pairs, k_blocks=2, epochs=5)
-        assert np.array_equal(p1.alpha, p2.alpha)
-        assert t1 == t2
-
     def test_empty_dataset_rejected(self):
         a = build_steering_matrix(small_geometry())
-        with pytest.raises(ConfigurationError):
-            lista_train(a, [], k_blocks=2, epochs=1)
+        with pytest.raises(ConfigurationError, match="training dataset is empty"):
+            lista_train(a, (np.zeros((6, 0), complex), np.zeros((8, 0), complex)), k_blocks=2, epochs=1)
+
+    @pytest.mark.parametrize("dataset", [
+        [],
+        [(np.ones(6), np.ones(8))],
+        [np.ones((6, 4)), np.ones((8, 4))],
+        (np.ones((6, 4)),),
+        (np.ones(6), np.ones(8)),
+        (np.ones((6, 4)), np.ones((8, 4)), np.ones((8, 4))),
+    ], ids=["empty-list", "pair-list", "list-of-matrices", "one-matrix", "vectors", "triple"])
+    def test_dataset_must_be_a_matrix_pair(self, dataset):
+        a = build_steering_matrix(small_geometry())
+        with pytest.raises(ConfigurationError, match=r"must be a \(Y, X\) pair of 2-D arrays"):
+            lista_train(a, dataset, k_blocks=2, epochs=1)
 
     @pytest.mark.parametrize("rows", [(6, 1), (5, 8)])
     def test_mis_shaped_dataset_rejected(self, rows):

@@ -1,11 +1,16 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's tracer still finds every function it wraps, and its
+counters still read what the pipelines pass.
 
 ``perfbench/tracer.py`` rebinds ``tomosar`` functions by name and raises
-LookupError when one is missing, so renaming a traced function fails here,
-in the tier-1 suite, and not only in the slower ``perfbench`` tests.
+LookupError when one is missing, and its counters read arguments by
+position or name, so renaming a traced function or an argument a counter
+reads fails here, in the tier-1 suite, and not only in the slower
+``perfbench`` tests.
 """
 
+import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -37,3 +42,37 @@ def test_recorder_installs_and_uninstalls_on_this_package(tracer):
     finally:
         rec.uninstall()
     assert (solvers.soft_threshold, bench.run_indexed, bench._ista_matrix) == originals
+
+
+def test_counters_run_on_the_cli_pipelines(tracer, tmp_path, monkeypatch):
+    from tomosar import cli
+
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        ["train-lista", "--fibers", "10", "--epochs", "2", "--blocks", "2", "--out-params", "params.json"],
+        ["resolution-test", "--method", "light-tv", "--separations", "0.6,1.2", "--trials", "3",
+         "--out", "curve.csv"],
+        ["structure-test", "--object", "one_step", "--method", "sb-tv", "--nx", "8", "--ny", "8",
+         "--out-dir", "bundle"],
+    ]
+    rec = tracer.Recorder()
+    rec.install()
+    try:
+        t0 = time.perf_counter()
+        for argv in commands:
+            with rec.span(f"cli.{argv[0]}"):
+                assert cli.main(argv) == 0
+        wall = time.perf_counter() - t0
+    finally:
+        rec.uninstall()
+    metrics = rec.metrics(wall, 1.0)
+    assert sorted(metrics) == sorted(name for name, _, _ in tracer.METRICS)
+    assert all(math.isfinite(m["value"]) for m in metrics.values())
+    assert metrics["solvers.lista_train.epochs"]["value"] == 2
+    assert metrics["bench.resolution_curve.trials"]["value"] == 6
+    for counted in ("sensing.forward.gflop", "sensing.adjoint.gb", "sensing.add_noise.fibers",
+                    "tensor.diff.gb", "solvers.soft_threshold.gb", "solvers.split_bregman_l1tv.iterations",
+                    "solvers.tv_denoise_enhance.s", "solvers.ista.matmul_gflop",
+                    "metrics.extract_point_cloud.points", "fileio.write_tensor.mb",
+                    "fileio.write_point_cloud.rows", "pool.run_indexed.items", "trace.coverage"):
+        assert metrics[counted]["value"] > 0, counted
