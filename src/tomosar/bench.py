@@ -16,7 +16,7 @@ from . import fileio
 from ._pool import run_indexed
 from .errors import ConfigurationError, DivergenceError
 from .metrics import evaluate_tensors, scoring_settings, timed
-from .sensing import build_steering_matrix, complex_noise, fiber_rng, noise_sigma
+from .sensing import build_steering_matrix, complex_noise, fiber_rng, noise_sigma, noiseless
 from .simulate import GridSpec, generate_echo, make_test_object
 from .solvers import (
     _batch_config,
@@ -143,6 +143,7 @@ def resolution_curve(
         raise ConfigurationError(
             f"peak_rel_threshold must be in [0, 1), got {peak_rel_threshold!r}"
         )
+    clean = noiseless(snr_db)
     separations = sorted(separations)
     a = build_steering_matrix(g)
     grid = GridSpec.from_geometry(g, n_x=1, n_y=1)
@@ -153,7 +154,7 @@ def resolution_curve(
 
     def echoes(si):
         y_clean = a @ scenes[si][0][:, 0, 0]
-        if math.isinf(snr_db):
+        if clean:
             noise = np.zeros((n_e, trials), dtype=np.complex128)
         else:
             sigma = noise_sigma(y_clean, snr_db)

@@ -168,6 +168,13 @@ def noise_sigma(y, snr_db: float) -> float:
     return math.sqrt(power / (10.0 ** (snr_db / 10.0)))
 
 
+def noiseless(snr_db: float) -> bool:
+    """Whether ``snr_db`` means no noise (+inf) or some (finite); ValueError otherwise."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+    return snr_db == math.inf
+
+
 def add_noise(y: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Add circular complex white Gaussian noise at the given echo SNR.
 
@@ -177,9 +184,7 @@ def add_noise(y: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     no matter how fibers are scheduled.  snr_db = +inf returns a copy.
     """
     tensor._check3d(y)
-    if math.isnan(snr_db) or (math.isinf(snr_db) and snr_db < 0):
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
-    if math.isinf(snr_db):
+    if noiseless(snr_db):
         return y.copy()
     sigma = noise_sigma(y, snr_db)
     d0, d1, d2 = y.shape

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
 from .errors import ConfigurationError
 from .sensing import (
     DEFAULT_INCIDENCE_DEG,
@@ -25,6 +24,7 @@ from .sensing import (
     fiber_rng,
     forward,
     noise_sigma,
+    noiseless,
     theoretical_resolution,
 )
 
@@ -91,8 +91,9 @@ class GridSpec:
     def __post_init__(self):
         if min(self.n_z, self.n_x, self.n_y) < 1:
             raise ConfigurationError(f"grid extents must be positive: {self.dims}")
-        if min(self.cell_z, self.cell_x, self.cell_y) <= 0:
-            raise ConfigurationError("cell sizes must be positive")
+        for name, size in (("cell_z", self.cell_z), ("cell_x", self.cell_x), ("cell_y", self.cell_y)):
+            if not (math.isfinite(size) and size > 0):
+                raise ConfigurationError(f"cell must hold finite sizes > 0, got {name}={size!r}")
 
     @property
     def dims(self):
@@ -196,8 +197,8 @@ def generate_building(kind: str, spacing: float, seed: int) -> PointCloud:
     approximating self-occlusion.  Sample positions get a small in-plane
     jitter drawn from ``seed``.
     """
-    if spacing <= 0:
-        raise ConfigurationError(f"spacing must be positive, got {spacing}")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ConfigurationError(f"spacing must be finite and positive, got {spacing!r}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     jitter = 0.2 * spacing
     chunks = []
@@ -238,8 +239,8 @@ def project_to_grid(p: PointCloud, g: SystemGeometry, grid: GridSpec, seed: int,
         scene_size_m = 0.5 * min(
             grid.n_z * grid.cell_z, grid.n_x * grid.cell_x, grid.n_y * grid.cell_y
         )
-    if scene_size_m <= 0:
-        raise ConfigurationError("scene_size_m must be positive")
+    if not (math.isfinite(scene_size_m) and scene_size_m > 0):
+        raise ConfigurationError(f"scene_size_m must be finite and positive, got {scene_size_m!r}")
 
     theta = math.radians(g.reference_incidence_deg)
     r0 = g.reference_slant_range_m
@@ -289,7 +290,7 @@ def generate_echo(x: np.ndarray, a: np.ndarray, snr_db: float, seed: int) -> np.
     """Forward-project a scene tensor and add noise at the requested SNR."""
     y = forward(a, x)
     if not np.any(y):
-        if math.isinf(snr_db):
+        if noiseless(snr_db):
             return y
         raise ValueError("cannot add finite-SNR noise to an all-zero echo")
     return add_noise(y, snr_db, seed)
@@ -418,6 +419,7 @@ def make_fiber_dataset(a: np.ndarray, n_fibers: int, seed: int, snr_db: float = 
     """
     if n_fibers < 1:
         raise ConfigurationError("need at least one fiber")
+    clean = noiseless(snr_db)
     n_e, n_z = a.shape
     X = np.zeros((n_z, n_fibers), dtype=np.complex128)
     Y = np.zeros((n_e, n_fibers), dtype=np.complex128)
@@ -430,7 +432,7 @@ def make_fiber_dataset(a: np.ndarray, n_fibers: int, seed: int, snr_db: float = 
         x = np.zeros(n_z, dtype=np.complex128)
         x[bins] = amps * np.exp(1j * phases)
         y = a @ x
-        if not math.isinf(snr_db):
+        if not clean:
             y = y + complex_noise(rng, n_e, noise_sigma(y, snr_db))
         X[:, i] = x
         Y[:, i] = y

@@ -90,35 +90,32 @@ def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9)
         if not float(getattr(cfg, name)).is_integer():
             raise ConfigurationError(f"{name} must be a whole number, got {getattr(cfg, name)!r}")
     y2d = np.asarray(y, dtype=np.complex128).reshape(a.shape[0], -1)
-    alpha = cfg.alpha
-    if alpha is None:
-        alpha = alpha_factor / spectral_norm_sq(a)
-    lam1 = cfg.lambda1
-    if lam1 is None:
-        # rounding is monotone, so the largest scaled column maximum equals
-        # 0.05 times the global maximum bit for bit
-        lam1 = float(np.max(_default_lambda1(a, y2d)))
-    lam2 = cfg.lambda2
-    if lam2 is None:
-        lam2 = 0.01 * lam1
-    mu = cfg.mu
-    tau1 = cfg.tau1 if cfg.tau1 is not None else 1.0 / (1.0 / alpha + 8.0 * mu)
-    tau2 = cfg.tau2 if cfg.tau2 is not None else 1.0 / mu
+
+    def check(name, v, positive=True):
+        """v as a float; ConfigurationError naming the knob unless v is finite and > 0 (>= 0)."""
+        if not math.isfinite(v) or v < 0 or (positive and v == 0):
+            raise ConfigurationError(f"{name} must be finite and {'positive' if positive else '>= 0'}, got {v!r}")
+        return float(v)
+
+    # each knob is checked before the defaults derived from it
+    alpha = check("alpha", alpha_factor / spectral_norm_sq(a) if cfg.alpha is None else cfg.alpha)
+    # rounding is monotone, so the largest scaled column maximum equals
+    # 0.05 times the global maximum bit for bit
+    lam1 = cfg.lambda1 if cfg.lambda1 is not None else float(np.max(_default_lambda1(a, y2d)))
+    lam1 = check("lambda1", lam1, positive=False)
+    lam2 = check("lambda2", 0.01 * lam1 if cfg.lambda2 is None else cfg.lambda2, positive=False)
+    mu = check("mu", cfg.mu)
     r = ResolvedConfig(
-        alpha=float(alpha),
-        lambda1=float(lam1),
-        lambda2=float(lam2),
-        mu=float(mu),
-        tau1=float(tau1),
-        tau2=float(tau2),
+        alpha=alpha,
+        lambda1=lam1,
+        lambda2=lam2,
+        mu=mu,
+        tau1=check("tau1", 1.0 / (1.0 / alpha + 8.0 * mu) if cfg.tau1 is None else cfg.tau1),
+        tau2=check("tau2", 1.0 / mu if cfg.tau2 is None else cfg.tau2),
         sigma=float(cfg.sigma),
         max_outer=int(cfg.max_outer),
         inner_iters=int(cfg.inner_iters),
     )
-    if r.alpha <= 0 or r.mu <= 0 or r.tau1 <= 0 or r.tau2 <= 0:
-        raise ConfigurationError("alpha, mu, tau1, tau2 must be positive")
-    if r.lambda1 < 0 or r.lambda2 < 0:
-        raise ConfigurationError("lambda1 and lambda2 must be nonnegative")
     if not (0.0 < r.sigma < 1.0):
         raise ConfigurationError(f"sigma must be in (0, 1), got {r.sigma}")
     if r.max_outer < 1 or r.inner_iters < 1:
@@ -193,20 +190,10 @@ def soft_threshold(z, theta, out=None):
     return res
 
 
-def _rel_change(x_new, x_old):
-    num = float(np.sum(np.abs(x_new - x_old) ** 2))
-    if num == 0.0:
-        return 0.0
-    den = float(np.sum(np.abs(x_new) ** 2))
-    if den == 0.0:
-        return math.inf
-    return num / den
-
-
 def _column_rel_change(x_new, x_old):
-    """:func:`_rel_change` of each column of 2-D arrays."""
-    num = np.sum(np.abs(x_new - x_old) ** 2, axis=0)
-    den = np.sum(np.abs(x_new) ** 2, axis=0)
+    """||x_new - x_old||^2 / ||x_new||^2 of each column of 2-D arrays, 0 for no change."""
+    num = (np.abs(x_new - x_old) ** 2).sum(axis=0)
+    den = (np.abs(x_new) ** 2).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(num == 0.0, 0.0, num / den)
 
@@ -219,72 +206,70 @@ def _columns(t):
 def _iterate(step, x, objective, sigma, max_outer, solver):
     """The outer loop shared by every iterative solver.
 
-    Applies ``x = step(x)`` from the given start and records the objective
-    and relative-change traces; stops once the relative change drops below
-    ``sigma`` or after ``max_outer`` steps.  Raises DivergenceError, naming
-    ``solver``, the iteration and the objective, as soon as the objective is
-    non-finite or exceeds ten times its value at the start.  Returns
-    (x, SolverReport).
-
-    An objective that returns one value per fiber (column of ``x`` viewed by
-    :func:`_columns`) poses that many independent problems, iterated side by
-    side: each column stops on its own relative change, is guarded against
-    its own start objective (the error then also names the column and gives
-    that column's objective) and keeps its value from its own stop
-    iteration.  The report's iterations count the steps the batch ran, it is
-    converged only if every column is, and ``column_iterations`` holds each
-    column's own count.  Its traces keep one float per iteration: the batch
-    objective (the sum over the columns) and the largest relative change
-    among the columns still running; a DivergenceError carries the former
-    and the failing column.
+    Applies ``x = step(x)`` from the given start.  The objective returns one
+    value per problem: k values pose k independent problems, the columns of
+    ``x.reshape(-1, k)``, iterated side by side (a volume is a batch of
+    one).  Each problem stops once its relative change drops below
+    ``sigma`` and keeps its value from that iteration; the loop ends when
+    all have stopped or after ``max_outer`` steps.  A DivergenceError,
+    naming ``solver``, the iteration, the column of a larger batch and its
+    objective, is raised as soon as the objective of a running problem is
+    non-finite or exceeds ten times its start value.  The report counts
+    the steps run and each problem's own (``column_iterations``), is
+    converged only if every problem is, and traces per iteration the
+    objective summed over the problems (also carried by a DivergenceError)
+    and the largest relative change among those still running.
     """
     obj0 = objective(x)
-    batch = np.ndim(obj0) > 0
-    if batch:
-        active = np.ones(obj0.shape, dtype=bool)
-        iters = np.zeros(obj0.shape, dtype=int)
-        frozen = np.empty(x.shape, dtype=x.dtype)
+    k = obj0.size
+    # ten times a positive start objective, else the largest float, so that
+    # a comparison with the limit also fails for inf and NaN
+    big = np.finfo(np.float64).max
+    with np.errstate(over="ignore"):
+        limit = np.where(obj0 > 0, np.minimum(10.0 * obj0, big), big)
+    active = np.ones(k, dtype=bool)
+    iters = np.zeros(k, dtype=int)
+    # the results of stopped problems, allocated once some but not all have stopped
+    frozen = None
     obj_trace = []
     rel_trace = []
     converged = False
     t0 = time.perf_counter()
     for it in range(max_outer):
         x_new = step(x)
-        rel = _column_rel_change(_columns(x_new), _columns(x)) if batch else _rel_change(x_new, x)
+        rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
         x = x_new
         obj = objective(x)
-        # Python scalars for a single problem: its checks run every
-        # iteration of thousands of small slice solves
-        if batch:
-            iters[active] = it + 1
-            rel_trace.append(float(np.max(rel[active])))
-            obj_trace.append(float(np.sum(obj)))
-            diverged = active & (~np.isfinite(obj) | ((obj0 > 0) & (obj > 10.0 * obj0)))
-            stopped = active & (rel < sigma)
-        else:
-            rel_trace.append(rel)
-            obj_trace.append(obj)
-            diverged = not math.isfinite(obj) or (obj0 > 0 and obj > 10.0 * obj0)
-            stopped = rel < sigma
-        if (diverged.any() if batch else diverged):
-            j = int(np.argmax(diverged)) if batch else None
-            o, o0 = (obj[j], obj0[j]) if batch else (obj, obj0)
-            why = f"exceeded 10x its initial value {o0:.3e}" if math.isfinite(o) else "is not finite"
-            where = f", column {j}" if batch else ""
+        obj_trace.append(float(obj.sum()))
+        # stopped problems are still stepped but no longer traced, guarded or stopped
+        run = slice(None) if frozen is None else active
+        rel_trace.append(float(rel[run].max()))
+        bounded = obj[run] <= limit[run]
+        if not bounded.all():
+            j = int(np.arange(k)[run][np.argmin(bounded)])
+            why = f"exceeded 10x its initial value {obj0[j]:.3e}" if math.isfinite(obj[j]) else "is not finite"
+            where = f", column {j}" if k > 1 else ""
             raise DivergenceError(
-                f"{solver} at iteration {it}{where}: objective {o:.3e} {why}",
+                f"{solver} at iteration {it}{where}: objective {obj[j]:.3e} {why}",
                 objective_trace=obj_trace,
                 column=j,
             )
-        if batch:
-            _columns(frozen)[:, stopped] = _columns(x)[:, stopped]
+        stopped = rel < sigma
+        if frozen is not None:
+            stopped &= active
+        if stopped.any():
+            iters[stopped] = it + 1
             active &= ~stopped
-            stopped = not active.any()
-        if stopped:
-            converged = True
-            break
-    if batch:
-        _columns(frozen)[:, active] = _columns(x)[:, active]
+            if frozen is None and active.any():
+                frozen = np.empty_like(x)
+            if frozen is not None:
+                frozen.reshape(-1, k)[:, stopped] = x.reshape(-1, k)[:, stopped]
+            if not active.any():
+                converged = True
+                break
+    iters[active] = len(obj_trace)
+    if frozen is not None:
+        frozen.reshape(-1, k)[:, active] = x.reshape(-1, k)[:, active]
         x = frozen
     report = SolverReport(
         iterations=len(obj_trace),
@@ -292,7 +277,7 @@ def _iterate(step, x, objective, sigma, max_outer, solver):
         rel_change_trace=rel_trace,
         wall_time_s=time.perf_counter() - t0,
         converged=converged,
-        column_iterations=iters.tolist() if batch else None,
+        column_iterations=iters.tolist(),
     )
     return x, report
 
@@ -324,12 +309,28 @@ def _prox_step(x, y2d, a, ah, alpha, theta, resid=None):
     return soft_threshold(_gradient_step(x, y2d, a, ah, alpha, resid), theta)
 
 
-def _batch_objective(x, resid, lam, per_column):
-    col_l1 = np.sum(np.abs(x), axis=0)
-    if per_column:
-        return 0.5 * np.sum(np.abs(resid) ** 2, axis=0) + lam * col_l1
-    data = 0.5 * float(np.sum(np.abs(resid) ** 2))
-    return data + float(np.sum(lam * col_l1))
+def _objective(x, resid, lambda1, lambda2=None):
+    """1/2 ||Y - A X||_F^2 + lambda1 ||X||_1 + lambda2 TV(X) of each problem
+    of a batch, from the residual ``resid`` = Y - A X; an array of k values.
+
+    There are k = np.size(lambda1) problems (lambda1 and lambda2 hold one
+    value per problem or one for all): problem j is column j of
+    ``x.reshape(-1, k)`` and of ``resid.reshape(-1, k)``.  A batch of one is
+    a volume (or a slice, or one fiber), whose TV is that of
+    :func:`tomosar.tensor.tv_norm` on x viewed as an order-3 tensor; the
+    problems of a larger batch are fibers side by side along axis 1, whose
+    TV runs along axis 0 alone.  ``lambda2`` None drops the TV term.
+    """
+    k = np.asarray(lambda1).size
+    value = 0.5 * (np.abs(resid.reshape(-1, k)) ** 2).sum(axis=0)
+    value += lambda1 * np.abs(x.reshape(-1, k)).sum(axis=0)
+    if lambda2 is not None:
+        x3 = x if x.ndim == 3 else x[:, :, None]
+        buf = np.empty(x3.shape, dtype=x3.dtype)
+        tv = sum(np.abs(tensor.diff(x3, ax, out=buf)).reshape(-1, k).sum(axis=0)
+                 for ax in (range(3) if k == 1 else [0]))
+        value += lambda2 * tv
+    return value
 
 
 def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
@@ -339,14 +340,14 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
     the columns are independent problems, each with threshold alpha *
     lambda1 of its own and its own stop (:func:`_iterate`), so each column
     matches its solo solve.  With a scalar lambda1 the columns form one
-    problem with one stop on its whole relative change.
+    problem, with one stop on its whole relative change.  The objective
+    has no TV term.
     """
     if variant not in ("ista", "fista"):
         raise ConfigurationError(f"unknown variant {variant!r}")
     ah = a.conj().T
     lam = rcfg.lambda1
     theta = rcfg.alpha * lam
-    per_column = np.ndim(lam) > 0
     x0 = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
     # fista's extrapolated point (the start until the first step) and momentum
     z, t_k = x0, 1.0
@@ -356,7 +357,7 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
     def objective(x):
         nonlocal seen
         seen = (x, _residual(x, y2d, a))
-        return _batch_objective(x, seen[1], lam, per_column)
+        return _objective(x, seen[1], lam)
 
     def step(x):
         nonlocal z, t_k
@@ -395,27 +396,9 @@ def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista"):
 
 
 def objective_eval(x, y, a, lambda1, lambda2):
-    """Exact hybrid objective 1/2||Y-A(X)||_F^2 + lambda1 l1 + lambda2 TV."""
+    """Exact hybrid objective 1/2||Y-A(X)||_F^2 + lambda1 l1 + lambda2 TV of one volume."""
     resid = forward(a, x)
-    np.subtract(y, resid, out=resid)
-    value = 0.5 * float(np.sum(np.abs(resid) ** 2))
-    if lambda1:
-        value += lambda1 * tensor.l1(x)
-    if lambda2:
-        value += lambda2 * tensor.tv_norm(x)
-    return value
-
-
-def _fiber_tv(x):
-    """The TV of each fiber of a batch (the columns of 2-D x) alone."""
-    return np.sum(np.abs(tensor.diff(x[:, :, None], 0)), axis=(0, 2))
-
-
-def _fiber_objective(x, y, a, lambda1, lambda2):
-    """:func:`objective_eval` of each fiber of a batch (the columns of 2-D x
-    and y) alone; lambda1 and lambda2 may hold one value per fiber.
-    """
-    return _batch_objective(x, _residual(x, y, a), lambda1, per_column=True) + lambda2 * _fiber_tv(x)
+    return float(_objective(x, np.subtract(y, resid, out=resid), lambda1, lambda2)[0])
 
 
 def _sweep_buffers(dims):
@@ -527,11 +510,9 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
         # the fibers lie side by side along axis 1, one threshold each
         rcfg = _batch_config(cfg, a, y, alpha_factor=1.8)
         lam1, lam2 = (lam.reshape(1, -1, 1) for lam in (rcfg.lambda1, rcfg.lambda2))
-        objective = lambda x: _fiber_objective(x[:, :, 0], y, a, rcfg.lambda1, rcfg.lambda2)
     else:
         rcfg = resolve_config(cfg, a, y, alpha_factor=1.8)
         lam1, lam2 = rcfg.lambda1, rcfg.lambda2
-        objective = lambda x: objective_eval(x, y, a, rcfg.lambda1, rcfg.lambda2)
     x_i, v_i, b_i = ([np.zeros(dims, dtype=np.complex128) for _ in range(3)] for _ in range(3))
     bufs = _sweep_buffers(dims)
     gap_trace = None if fibers else []
@@ -553,6 +534,9 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
                 tensor.frobenius(np.subtract(tensor.diff(x_i[ax], ax, out=d), v_i[ax], out=d)) for ax in range(3)
             ))
         return x_new
+
+    def objective(x):
+        return _objective(x, _residual(_columns(x), _columns(y), a), rcfg.lambda1, rcfg.lambda2)
 
     x, report = _iterate(
         step, np.zeros(dims, dtype=np.complex128), objective, rcfg.sigma, rcfg.max_outer, "sb-tv"
@@ -581,7 +565,7 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, *, fibers=False):
         raise ConfigurationError(f"lambda2 must be >= 0, got {lambda2}")
     if fibers:
         lam = np.broadcast_to(np.asarray(lambda2, dtype=np.float64), x.shape[1:])
-        keep = (lam != 0.0) & (_fiber_tv(x) != 0.0)
+        keep = (lam != 0.0) & np.any(tensor.diff(x3, 0), axis=(0, 2))
     else:
         keep = lambda2 != 0.0 and tensor.tv_norm(x) != 0.0
     if not np.any(keep):
@@ -635,16 +619,16 @@ def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None, *, fibers=F
     # workers measured 3.2-4.6 s against 3.1-3.5 s for one
     results = run_indexed(solve_slice, range(n_y), workers=1)
     x = results[0][0] if fibers else np.stack([r[0] for r in results], axis=2)
-    objective = _fiber_objective if fibers else objective_eval
-    obj_pre = objective(x, y, a, rcfg.lambda1, rcfg.lambda2)
     x_enh = tv_denoise_enhance(x, rcfg.lambda2, inner_iters=rcfg.inner_iters, mu=rcfg.mu, fibers=fibers)
-    obj_post = objective(x_enh, y, a, rcfg.lambda1, rcfg.lambda2)
-    rel_change = _column_rel_change if fibers else _rel_change
-    rel = (rel_change(x, np.zeros_like(x)), rel_change(x_enh, x))
+    k = np.size(rcfg.lambda1)
+    stages = ((np.zeros_like(x), x), (x, x_enh))
     report = SolverReport(
         iterations=2,
-        objective_trace=[float(np.sum(v)) for v in (obj_pre, obj_post)],
-        rel_change_trace=[float(np.max(v)) for v in rel],
+        objective_trace=[
+            float(_objective(t, _residual(_columns(t), _columns(y), a), rcfg.lambda1, rcfg.lambda2).sum())
+            for _, t in stages
+        ],
+        rel_change_trace=[float(_column_rel_change(t.reshape(-1, k), t0.reshape(-1, k)).max()) for t0, t in stages],
         wall_time_s=time.perf_counter() - t0,
         converged=all(r[1].converged for r in results),
     )
@@ -788,8 +772,10 @@ def lista_train(a, dataset, k_blocks=9, epochs=200, lr=0.1, seed=0):
         )
     if k_blocks < 1:
         raise ConfigurationError("k_blocks must be >= 1")
-    if epochs < 0 or lr <= 0:
-        raise ConfigurationError("epochs must be >= 0 and lr > 0")
+    if epochs < 0:
+        raise ConfigurationError("epochs must be >= 0")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigurationError(f"lr must be finite and positive, got {lr!r}")
 
     alpha0 = 0.9 / spectral_norm_sq(a)
     # the mean of the per-fiber maxima: a different rule from the maximum
@@ -860,14 +846,9 @@ def reconstruct_tensor(y, a, method, cfg: SolverConfig | None = None, lista_para
         # data-fit objective only: the unrolled blocks carry no single lambda
         # pair; sigma = 0 never stops early, and a network that has run all
         # its K blocks is complete, so the report says converged
-        x2d, report = _iterate(
-            step,
-            np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128),
-            lambda x: 0.5 * float(np.sum(np.abs(y2d - a @ x) ** 2)),
-            0.0,
-            lista_params.blocks,
-            "lista",
-        )
+        x0 = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
+        objective = lambda x: _objective(x, _residual(x, y2d, a), 0.0)
+        x2d, report = _iterate(step, x0, objective, 0.0, lista_params.blocks, "lista")
         report.converged = True
     else:
         raise ConfigurationError(

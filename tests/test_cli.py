@@ -16,7 +16,7 @@ from tomosar.sensing import build_steering_matrix, default_geometry, spectral_no
 from tomosar.solvers import LearnedIstaParams
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None, cwd=None, timeout=None):
     env = dict(os.environ)
     env.setdefault("TOMOSAR_THREADS", "1")
     if env_extra:
@@ -27,6 +27,7 @@ def run_cli(*args, env_extra=None, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -530,3 +531,55 @@ class TestTrainLista:
     def test_bad_fibers_exit_2(self, tmp_path):
         res = run_cli("train-lista", "--fibers", "0", "--out-params", tmp_path / "p.json")
         assert res.returncode == 2
+
+
+_RECONSTRUCT = ["reconstruct", "--echo", "ECHO"]
+_RESOLUTION = ["resolution-test", "--separations", "1.0", "--trials", "2"]
+_TRAIN = ["train-lista", "--fibers", "10", "--epochs", "2", "--blocks", "2"]
+_BUILDING = ["simulate", "--model", "building:box", "--nx", "8", "--ny", "8", "--out-echo", "OUT"]
+# (command, the flags under test, the knob its message names)
+_BAD_KNOBS = [
+    (_RECONSTRUCT, ["--method", "fista", "--lambda1", "nan"], "lambda1"),
+    (_RECONSTRUCT, ["--method", "fista", "--alpha", "nan"], "alpha"),
+    (_RECONSTRUCT, ["--method", "sb-tv", "--alpha", "inf"], "alpha"),
+    (_RECONSTRUCT, ["--method", "fista", "--tau1", "nan"], "tau1"),
+    (_RECONSTRUCT, ["--method", "fista", "--tau2", "inf"], "tau2"),
+    (_RECONSTRUCT, ["--method", "fista", "--lambda2", "nan"], "lambda2"),
+    (_RECONSTRUCT, ["--method", "fista", "--mu", "nan"], "mu"),
+    (_RECONSTRUCT, ["--method", "sb-tv", "--mu", "0"], "mu"),
+    (_RESOLUTION, ["--lambda1", "nan"], "lambda1"),
+    (_RESOLUTION, ["--snr", "-inf"], "snr_db"),
+    (_RESOLUTION, ["--snr", "nan"], "snr_db"),
+    (_TRAIN, ["--lr", "inf"], "lr"),
+    (_TRAIN, ["--lr", "nan"], "lr"),
+    (_TRAIN, ["--snr", "nan"], "snr_db"),
+    (_TRAIN, ["--snr", "-inf"], "snr_db"),
+    (_BUILDING, ["--cell-x", "nan", "--snr", "inf"], "cell_x"),
+    (_BUILDING, ["--scene-size", "nan", "--snr", "inf"], "scene_size_m"),
+    (_BUILDING, ["--spacing", "inf"], "spacing"),
+    (_BUILDING, ["--spacing", "nan"], "spacing"),
+]
+
+
+class TestNonFiniteKnobs:
+    """A NaN, infinite or otherwise invalid knob exits 2 with a message that
+    names it, before any output is written: no solve on a NaN threshold, no
+    noiseless study for an SNR of -inf, no endless step halving for an
+    infinite learning rate, no empty scene for a NaN cell size."""
+
+    @pytest.fixture(scope="class")
+    def echo(self, tmp_path_factory):
+        return simulate_small(tmp_path_factory.mktemp("echo"))[1]
+
+    @pytest.mark.parametrize("base, flags, knob", _BAD_KNOBS,
+                             ids=[" ".join([base[0], *flags]) for base, flags, _ in _BAD_KNOBS])
+    def test_exits_2_naming_the_knob(self, tmp_path, echo, base, flags, knob):
+        out = tmp_path / "out"
+        output_flag = {"train-lista": "--out-params", "simulate": "--out-scene"}.get(base[0], "--out")
+        argv = [{"ECHO": echo, "OUT": tmp_path / "echo.tsr3"}.get(a, a) for a in base + flags]
+        # a subprocess with a timeout, so that a knob that makes a loop endless fails
+        res = run_cli(*argv, output_flag, out, timeout=60)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert knob in res.stderr
+        assert not out.exists()

@@ -1,5 +1,7 @@
 """Array geometry, steering matrix, forward/adjoint operators, noise."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from tomosar.sensing import (
     default_geometry,
     fiber_rng,
     forward,
+    noiseless,
     spectral_norm_sq,
     theoretical_resolution,
 )
@@ -163,6 +166,17 @@ class TestNoise:
         out = add_noise(y, np.inf, seed=1)
         assert np.array_equal(out, y)
         assert out is not y
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be finite or [+]inf"):
+            noiseless(snr_db)
+        with pytest.raises(ValueError, match="snr_db must be finite or [+]inf"):
+            add_noise(random_tensor((12, 2, 2)), snr_db, seed=0)
+
+    def test_noiseless_only_at_plus_inf(self):
+        assert noiseless(math.inf) and noiseless(np.inf)
+        assert not noiseless(5.0) and not noiseless(-40.0)
 
     def test_seed_determinism(self):
         y = random_tensor((12, 8, 8), seed=8)

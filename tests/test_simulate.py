@@ -139,6 +139,30 @@ class TestNormalize:
             normalize(PointCloud.from_xyz(np.zeros((0, 3))))
 
 
+class TestNonFiniteKnobs:
+    @pytest.mark.parametrize("field", ["cell_x", "cell_y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_grid_cell_named(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"cell must hold finite sizes > 0, got {field}="):
+            GridSpec.from_geometry(default_geometry(), n_x=8, n_y=8, **{field: value})
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, -1.0])
+    def test_building_spacing_named(self, spacing):
+        with pytest.raises(ConfigurationError, match="spacing must be finite and positive"):
+            generate_building("box", spacing, seed=0)
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, 0.0])
+    def test_scene_size_named(self, size):
+        cloud = normalize(generate_building("box", 1.0, seed=0))
+        with pytest.raises(ConfigurationError, match="scene_size_m must be finite and positive"):
+            project_to_grid(cloud, default_geometry(), default_grid(8, 8), seed=0, scene_size_m=size)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_fiber_dataset_snr(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be finite or [+]inf"):
+            make_fiber_dataset(build_steering_matrix(default_geometry()), 2, seed=0, snr_db=snr_db)
+
+
 class TestProjectToGrid:
     def test_center_point_hits_center_voxel(self):
         g = default_geometry()

@@ -20,7 +20,10 @@ from tomosar.solvers import (
     LearnedIstaParams,
     SolverConfig,
     _ista_matrix,
+    _iterate,
     _lista_gradient,
+    _objective,
+    _residual,
     _unrolled_infer,
     ista_fiber,
     light_reconstruct_enhance,
@@ -367,6 +370,55 @@ class TestObjectiveEval:
         assert got == pytest.approx(expect, rel=1e-12)
 
 
+class TestObjective:
+    """The one per-problem objective behind every solver."""
+
+    def test_batch_of_one_is_objective_eval(self):
+        a = build_steering_matrix(small_geometry())
+        r = np.random.default_rng(8)
+        x = r.standard_normal((a.shape[1], 3, 2)) + 1j * r.standard_normal((a.shape[1], 3, 2))
+        y = r.standard_normal((a.shape[0], 3, 2)) + 1j * r.standard_normal((a.shape[0], 3, 2))
+        got = _objective(x, _residual(x.reshape(a.shape[1], -1), y.reshape(a.shape[0], -1), a), 0.4, 0.9)
+        assert got.shape == (1,)
+        assert got[0] == objective_eval(x, y, a, 0.4, 0.9)
+
+    def test_fiber_batch_gives_each_fiber_its_solo_objective(self):
+        a = build_steering_matrix(small_geometry())
+        r = np.random.default_rng(9)
+        x = r.standard_normal((a.shape[1], 5)) + 1j * r.standard_normal((a.shape[1], 5))
+        y = r.standard_normal((a.shape[0], 5)) + 1j * r.standard_normal((a.shape[0], 5))
+        lam1, lam2 = np.linspace(0.0, 0.4, 5), np.linspace(0.3, 0.0, 5)
+        got = _objective(x, _residual(x, y, a), lam1, lam2)
+        for j in range(5):
+            solo = objective_eval(x[:, j, None, None], y[:, j, None, None], a, lam1[j], lam2[j])
+            assert got[j] == pytest.approx(solo, rel=1e-14)
+
+    def test_volume_is_a_batch_of_one(self):
+        # a scalar objective poses one problem: one stop, one count, and the
+        # iterate the last step returned
+        x0 = np.ones((4, 3, 2), dtype=complex)
+        halve = lambda x: 0.5 * x
+        x, report = _iterate(halve, x0, lambda x: np.array([float(np.sum(np.abs(x)))]), 0.3, 10, "test")
+        assert report.column_iterations == [report.iterations] == [10]
+        assert not report.converged
+        assert np.array_equal(x, x0 * 0.5 ** 10)
+
+    def test_stopped_columns_keep_their_value(self):
+        # column j moves toward 1 at rate rates[j]; each stops on its own
+        rates = np.array([0.0, 0.5, 0.8])
+        step = lambda x: 1.0 + rates * (x - 1.0)
+        objective = lambda x: np.sum(np.abs(x - 1.0), axis=0)
+        x, report = _iterate(step, np.zeros((4, 3), dtype=complex), objective, 1e-6, 200, "test")
+        its = report.column_iterations
+        assert its[0] == 2 and its[0] < its[1] < its[2] == report.iterations
+        assert report.converged
+        for j, n in enumerate(its):
+            ref = np.zeros(4, dtype=complex)
+            for _ in range(n):
+                ref = 1.0 + rates[j] * (ref - 1.0)
+            assert np.array_equal(x[:, j], ref)
+
+
 class TestSplitBregman:
     def test_zero_echo(self):
         a = build_steering_matrix(small_geometry())
@@ -651,6 +703,13 @@ class TestLearnedIsta:
         with pytest.raises(ConfigurationError, match=r"must be a \(Y, X\) pair of 2-D arrays"):
             lista_train(a, dataset, k_blocks=2, epochs=1)
 
+    @pytest.mark.parametrize("lr", [math.inf, math.nan, 0.0, -0.1])
+    def test_step_must_be_finite_and_positive(self, lr):
+        # an infinite lr once halved its step forever
+        a = build_steering_matrix(small_geometry())
+        with pytest.raises(ConfigurationError, match="^lr must be finite and positive"):
+            lista_train(a, (np.ones((6, 4), complex), np.ones((8, 4), complex)), k_blocks=2, epochs=1, lr=lr)
+
     @pytest.mark.parametrize("rows", [(6, 1), (5, 8)])
     def test_mis_shaped_dataset_rejected(self, rows):
         a = build_steering_matrix(small_geometry())
@@ -835,6 +894,22 @@ class TestConfig:
             resolve_config(SolverConfig(max_outer=0), a, y)
         with pytest.raises(ConfigurationError):
             resolve_config(SolverConfig(inner_iters=0), a, y)
+
+    @pytest.mark.parametrize("field", ["alpha", "lambda1", "lambda2", "mu", "tau1", "tau2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_knob_rejected_by_name(self, field, value):
+        a = build_steering_matrix(small_geometry())
+        y = np.ones(a.shape[0], dtype=complex)
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+            resolve_config(SolverConfig(**{field: value}), a, y)
+
+    @pytest.mark.parametrize("field", ["alpha", "mu"])
+    def test_zero_step_knob_rejected_before_deriving_the_others(self, field):
+        # 1 / alpha and 1 / mu feed the derived tau1 and tau2
+        a = build_steering_matrix(small_geometry())
+        y = np.ones(a.shape[0], dtype=complex)
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite and positive, got 0.0"):
+            resolve_config(SolverConfig(**{field: 0.0}), a, y)
 
     @pytest.mark.parametrize("field", ["max_outer", "inner_iters"])
     @pytest.mark.parametrize("value", [2.7, 0.5, math.inf, math.nan])
