@@ -4,9 +4,9 @@ Subcommands: simulate, reconstruct, evaluate, resolution-test,
 structure-test, train-lista.  Exit codes: 0 success, 1 I/O failure,
 2 usage/configuration error, 3 solver divergence.  All outputs are
 byte-reproducible for identical flags; timing fields are only populated
-with --timing.  TOMOSAR_THREADS caps only resolution-test's pool over its
-column batches of whole separations (0 = auto); light-tv solves its slices
-in order.
+with --timing.  TOMOSAR_THREADS (0 = auto) caps resolution-test's pool over
+its column batches of whole separations and the slabs of a split-Bregman
+sweep on a volume; light-tv solves its slices in order.
 """
 
 import argparse

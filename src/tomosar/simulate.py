@@ -36,6 +36,9 @@ BUILDINGS = {
     "multi_step": (12.0, 12.0, 12.0),
     "flat": (16.0, 14.0, 2.5),
 }
+# the most points a building cloud may hold; a 1e-9 m spacing would ask for
+# about 4e20 for a box
+MAX_CLOUD_POINTS = 1 << 20
 # unit vector from the scene toward the sensor, against which facets are culled
 _THETA = math.radians(DEFAULT_INCIDENCE_DEG)
 _LOOK = np.array([0.0, -math.sin(_THETA), math.cos(_THETA)])
@@ -123,12 +126,17 @@ class GridSpec:
         )
 
 
+def _grid_steps(e1, e2, spacing):
+    """The sample intervals (n1, n2) of a facet along its two edges, as floats,
+    so that a tiny spacing cannot overflow."""
+    return tuple(max(1.0, float(np.rint(float(np.linalg.norm(e)) / spacing))) for e in (e1, e2))
+
+
 def _sample_facet(origin, e1, e2, spacing, rng, jitter):
     """Grid-sample a parallelogram facet including its edges."""
     l1 = np.linalg.norm(e1)
     l2 = np.linalg.norm(e2)
-    n1 = max(1, int(round(l1 / spacing)))
-    n2 = max(1, int(round(l2 / spacing)))
+    n1, n2 = (int(n) for n in _grid_steps(e1, e2, spacing))
     u = np.linspace(0.0, 1.0, n1 + 1)
     v = np.linspace(0.0, 1.0, n2 + 1)
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -199,12 +207,15 @@ def generate_building(kind: str, spacing: float, seed: int) -> PointCloud:
     """
     if not (math.isfinite(spacing) and spacing > 0):
         raise ConfigurationError(f"spacing must be finite and positive, got {spacing!r}")
+    facets = [f for f in _facets_for(kind) if float(np.dot(f[3], _LOOK)) > 0.0]
+    points = sum((n1 + 1) * (n2 + 1) for n1, n2 in (_grid_steps(e1, e2, spacing) for _, e1, e2, _ in facets))
+    if points > MAX_CLOUD_POINTS:
+        raise ConfigurationError(
+            f"spacing {spacing!r} samples {points:.3g} points, more than {MAX_CLOUD_POINTS}; use a coarser spacing"
+        )
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     jitter = 0.2 * spacing
-    chunks = []
-    for origin, e1, e2, normal in _facets_for(kind):
-        if float(np.dot(normal, _LOOK)) > 0.0:
-            chunks.append(_sample_facet(origin, e1, e2, spacing, rng, jitter))
+    chunks = [_sample_facet(origin, e1, e2, spacing, rng, jitter) for origin, e1, e2, _ in facets]
     return PointCloud.from_xyz(np.concatenate(chunks, axis=0))
 
 
@@ -248,15 +259,18 @@ def project_to_grid(p: PointCloud, g: SystemGeometry, grid: GridSpec, seed: int,
     sensor_y = -r0 * math.sin(theta)
     sensor_z = r0 * math.cos(theta)
 
-    az = (u[:, 0] - 0.5) * scene_size_m
-    vy = (u[:, 1] - 0.5) * scene_size_m - sensor_y
-    vz = (u[:, 2] - 0.5) * scene_size_m - sensor_z
-    r = np.hypot(vy, vz)
-    s = vy * math.cos(theta) + vz * math.sin(theta)
-
-    iz = np.rint((s - grid.origin_z) / grid.cell_z).astype(np.int64)
-    ix = np.rint((r - grid.origin_x) / grid.cell_x).astype(np.int64)
-    iy = np.rint((az - grid.origin_y) / grid.cell_y).astype(np.int64)
+    # a scene too large for the grid overflows here and is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        az = (u[:, 0] - 0.5) * scene_size_m
+        vy = (u[:, 1] - 0.5) * scene_size_m - sensor_y
+        vz = (u[:, 2] - 0.5) * scene_size_m - sensor_z
+        r = np.hypot(vy, vz)
+        s = vy * math.cos(theta) + vz * math.sin(theta)
+        coords = ((s - grid.origin_z) / grid.cell_z, (r - grid.origin_x) / grid.cell_x, (az - grid.origin_y) / grid.cell_y)
+    # a voxel index must fit an int64; NaN fails the comparison too
+    if not all(np.all(np.abs(c) < 2.0**63) for c in coords):
+        raise ConfigurationError(f"scene_size_m {scene_size_m!r} puts voxel indices beyond the int64 range")
+    iz, ix, iy = (np.rint(c).astype(np.int64) for c in coords)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     amps = rng.uniform(1.0, 4.0, size=p.n_points)

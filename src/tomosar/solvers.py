@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor
-from ._pool import run_indexed
+from ._pool import run_indexed, worker_count
 from .errors import ConfigurationError, DivergenceError
 from .sensing import adjoint, forward, spectral_norm_sq
 
@@ -165,25 +165,31 @@ class SolverReport:
         return d
 
 
-def soft_threshold(z, theta, out=None):
+def soft_threshold(z, theta, out=None, work=None):
     """Proximal map of theta * l1: sign(z) * max(|z| - theta, 0).
 
     Complex sign is z/|z| with sign(0) = 0.  ``theta`` may be a scalar or an
-    array broadcastable against z (used for per-column thresholds).  ``out``,
-    if given, receives the result; ``out=z`` shrinks in place.
+    array that broadcasts to the shape of z (used for per-column
+    thresholds).  ``out``, if given, receives the result; ``out=z`` shrinks
+    in place.  ``work``, if given, is a flat float64 array of at least
+    2 * z.size entries that holds the two real temporaries, so the call
+    allocates no array.
     """
     th = np.asarray(theta)
-    if np.any(th < 0):
+    if not np.all(th >= 0):  # NaN too: fmax below would turn it into a zero shrink
         raise ValueError("threshold must be nonnegative")
     arr = np.asarray(z)
-    mag = np.asarray(np.abs(arr))
-    ratio = np.asarray(mag - th)
-    np.maximum(ratio, 0.0, out=ratio)
-    # divide by |z| where |z| > 0 and by 1 where |z| == 0, where the ratio
-    # is already +0.0: |z| + (|z| == 0) is that divisor exactly, without the
-    # branches of np.where or of a masked divide, which are several times slower
-    np.add(mag, mag == 0, out=mag)
-    np.divide(ratio, mag, out=ratio)
+    n = arr.size
+    if work is None:
+        work = np.empty(2 * n)
+    mag, ratio = work[:n].reshape(arr.shape), work[n:2 * n].reshape(arr.shape)
+    np.abs(arr, out=mag)
+    np.subtract(mag, th, out=ratio)
+    # (|z| - theta) / |z| is negative, -inf or NaN where |z| <= theta, and
+    # fmax maps all three to +0.0, so |z| == 0 needs no divisor of its own
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(ratio, mag, out=ratio)
+    np.fmax(ratio, 0.0, out=ratio)
     res = np.multiply(arr, ratio, out=out)
     if np.isscalar(z) or np.ndim(z) == 0:
         return res[()]
@@ -401,9 +407,43 @@ def objective_eval(x, y, a, lambda1, lambda2):
     return float(_objective(x, np.subtract(y, resid, out=resid), lambda1, lambda2)[0])
 
 
-def _sweep_buffers(dims):
-    """The work arrays of :func:`_split_sweep`, allocated once per solve."""
-    return tuple(np.empty(dims, dtype=np.complex128) for _ in range(5))
+# A volume of fewer voxels sweeps as one slab: below it, handing slabs to
+# threads costs more than a second worker saves.  On a 2-core host one
+# sweep of 64x16x32 (2^15) voxels took 9-11 ms on one worker and 8-11 ms on
+# two, of 64x24x32 (3 * 2^14) 15-16 ms against 11-14 ms.
+SLAB_MIN_VOXELS = 3 << 14
+# The axis along which the update of each tensor axis is cut into slabs.
+_SLAB_CUT = (1, 0, 0)
+# The ufunc buffer size, in entries, of a sweep's slab workers.
+_SWEEP_BUFSIZE = 1024
+
+
+def _sweep_buffers(dims, batch_axis=None):
+    """The work arrays of :func:`_split_sweep`, allocated once per solve.
+
+    Returns (anchor, scratch, slabs).  The sweep cuts the update of each
+    axis into ``worker_count()`` slabs along ``_SLAB_CUT``, one for a fiber
+    batch or a volume below ``SLAB_MIN_VOXELS``.  ``slabs[k][ax]`` is
+    (index, p, d, h, du, work): the index of slab k of axis ``ax``'s update,
+    four contiguous work arrays of its shape, and ``work``, the float view
+    of ``h`` that the shrinks use.  Slab k's arrays lie in one segment of
+    four flat buffers, so ``scratch``, a volume-shaped view of the d buffer,
+    is free between sweeps.
+    """
+    anchor = np.empty(dims, dtype=np.complex128)
+    n = 1 if batch_axis is not None or anchor.size < SLAB_MIN_VOXELS else min(worker_count(), *dims[:2])
+    indices = [[(slice(None),) * c + (slice(k * dims[c] // n, (k + 1) * dims[c] // n),) for c in _SLAB_CUT]
+               for k in range(n)]
+    sizes = [max(anchor[i].size for i in slab) for slab in indices]
+    flat = [np.empty(sum(sizes), dtype=np.complex128) for _ in range(4)]
+    slabs = []
+    for slab, off in zip(indices, np.cumsum([0] + sizes)):
+        work = []
+        for i in slab:
+            p, d, h, du = (f[off:off + anchor[i].size].reshape(anchor[i].shape) for f in flat)
+            work.append((i, p, d, h, du, h.view(np.float64).reshape(-1)))
+        slabs.append(work)
+    return anchor, flat[1][:anchor.size].reshape(dims), slabs
 
 
 def _as_volume(t, fibers, rows=None):
@@ -440,21 +480,28 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
     ``bufs`` (from :func:`_sweep_buffers`) holds every intermediate; the
     result, a new array, is the average of the three per-axis iterates.
 
+    The three updates are independent, and each is local along its own
+    axis, so each runs slab by slab; one ``run_indexed`` call gives worker
+    k slab k of every axis.  Every entry sees the same operations in the
+    same order for any slab count, so the result does not depend on it.
+
     Fibers side by side along ``batch_axis`` are independent problems: D is
     zero across that axis, as along an axis of extent 1, and lambda1 and
     lambda2 may be arrays that broadcast one value per fiber.
     """
-    anchor, p, d, h, du = bufs
+    anchor, _, slabs = bufs
     np.divide(p0, alpha, out=anchor)
     s = tau2 * mu
     th1, th2 = lambda1 * tau1, lambda2 * tau2
-    for ax in range(3):
-        u, w, b = u_i[ax], v_i[ax], b_i[ax]
+    shrink_u = np.any(lambda1)
+
+    def update(ax, index, p, d, h, du, work):
+        u, w, b = u_i[ax][index], v_i[ax][index], b_i[ax][index]
         diff, diff_adjoint = (_no_diff, _no_diff) if ax == batch_axis else (tensor.diff, tensor.diff_adjoint)
         # p = p0 / alpha + mu * D^T (v - b)
         diff_adjoint(np.subtract(w, b, out=d), ax, out=p)
         np.multiply(mu, p, out=p)
-        np.add(anchor, p, out=p)
+        np.add(anchor[index], p, out=p)
         for _ in range(inner_iters):
             # u = u - tau1 * (u / alpha + mu * D^T D u - p)
             diff_adjoint(diff(u, ax, out=d), ax, out=h)
@@ -464,8 +511,8 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
             np.subtract(d, p, out=d)
             np.multiply(tau1, d, out=d)
             np.subtract(u, d, out=u)
-            if np.any(lambda1):
-                soft_threshold(u, th1, out=u)
+            if shrink_u:
+                soft_threshold(u, th1, out=u, work=work)
         diff(u, ax, out=du)
         for _ in range(inner_iters):
             # w = shrink(w - tau2 * mu * (w - du - b))
@@ -473,10 +520,23 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
             np.subtract(d, b, out=d)
             np.multiply(s, d, out=d)
             np.subtract(w, d, out=w)
-            soft_threshold(w, th2, out=w)
+            soft_threshold(w, th2, out=w, work=work)
         # b = b + du - w
         np.add(b, du, out=b)
         np.subtract(b, w, out=b)
+
+    def sweep(slab):
+        # the shrink's complex-by-real product casts through a ufunc buffer;
+        # at the default 8192 entries (128 KiB) each worker thread's malloc
+        # arena keeps one resident, so cast in smaller pieces
+        bufsize = np.setbufsize(_SWEEP_BUFSIZE)
+        try:
+            for ax, work in enumerate(slab):
+                update(ax, *work)
+        finally:
+            np.setbufsize(bufsize)
+
+    run_indexed(sweep, slabs, workers=len(slabs))
     x = np.add(u_i[0], u_i[1])
     np.add(x, u_i[2], out=x)
     return np.divide(x, 3.0, out=x)
@@ -514,7 +574,7 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
         rcfg = resolve_config(cfg, a, y, alpha_factor=1.8)
         lam1, lam2 = rcfg.lambda1, rcfg.lambda2
     x_i, v_i, b_i = ([np.zeros(dims, dtype=np.complex128) for _ in range(3)] for _ in range(3))
-    bufs = _sweep_buffers(dims)
+    bufs = _sweep_buffers(dims, 1 if fibers else None)
     gap_trace = None if fibers else []
 
     def step(x):
@@ -529,7 +589,7 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
             rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters, batch_axis=1 if fibers else None,
         )
         if not fibers:
-            d = bufs[2]
+            d = bufs[1]
             gap_trace.append(sum(
                 tensor.frobenius(np.subtract(tensor.diff(x_i[ax], ax, out=d), v_i[ax], out=d)) for ax in range(3)
             ))
@@ -579,7 +639,7 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, *, fibers=False):
     u_i = [p0.copy() for _ in range(3)]
     v_i = [np.zeros_like(p0) for _ in range(3)]
     b_i = [np.zeros_like(p0) for _ in range(3)]
-    bufs = _sweep_buffers(p0.shape)
+    bufs = _sweep_buffers(p0.shape, 1 if fibers else None)
     for _ in range(10):
         out = _split_sweep(
             p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters, batch_axis=1 if fibers else None

@@ -15,6 +15,8 @@ A fiber is ``t[:, j, k]``, the vector along axis 0 at one (range, azimuth)
 position.
 """
 
+import math
+
 import numpy as np
 
 _AXES = (0, 1, 2)
@@ -94,14 +96,10 @@ def _slices(axis, index):
     return (slice(None),) * axis + (index,)
 
 
-# per-axis index tuples of diff / diff_adjoint: planes n + 1, n < N - 1, the
-# last, the first, the interior, n < N - 2 and the second to last
-_TAIL = [_slices(ax, slice(1, None)) for ax in _AXES]
-_HEAD = [_slices(ax, slice(None, -1)) for ax in _AXES]
-_LAST = [_slices(ax, -1) for ax in _AXES]
+# per-axis index tuples of the boundary planes: the first, the last and the
+# second to last
 _FIRST = [_slices(ax, 0) for ax in _AXES]
-_MID = [_slices(ax, slice(1, -1)) for ax in _AXES]
-_HEAD2 = [_slices(ax, slice(None, -2)) for ax in _AXES]
+_LAST = [_slices(ax, -1) for ax in _AXES]
 _LAST2 = [_slices(ax, -2) for ax in _AXES]
 
 
@@ -112,6 +110,25 @@ def _check_out(t, out):
         raise ValueError("out must not share memory with the input")
 
 
+def _rows(t, axis):
+    """t as (rows, prod(shape[axis + 1:])), one row down being one step along
+    ``axis``: a view where the strides of t allow one, else a copy."""
+    return t.reshape(-1, math.prod(t.shape[axis + 1:]))
+
+
+def _prepare(t, axis, out):
+    """The checked output array of a difference kernel and its flat rows, or
+    None for the rows when ``out`` has no flat view."""
+    _check3d(t)
+    _check_axis(axis)
+    if out is None:
+        out = np.empty(t.shape, dtype=t.dtype)
+    else:
+        _check_out(t, out)
+    dst = _rows(out, axis)
+    return out, dst if np.may_share_memory(dst, out) else None
+
+
 def diff(t, axis, out=None):
     """First-order forward difference along ``axis`` with replicate boundary.
 
@@ -119,18 +136,20 @@ def diff(t, axis, out=None):
     constant tensor maps to zero and the operator has the same shape as its
     input.  ``out``, if given, receives the result and must not share memory
     with ``t`` (ValueError).
+
+    The differences are taken in one pass over the flat rows of t, which
+    also subtracts across the end of the axis; the final plane overwrites
+    those entries.
     """
-    _check3d(t)
-    _check_axis(axis)
-    if out is None:
-        out = np.empty(t.shape, dtype=t.dtype)
-    else:
-        _check_out(t, out)
+    out, dst = _prepare(t, axis, out)
     if t.shape[axis] == 1:
         out.fill(0)
-        return out
-    np.subtract(t[_TAIL[axis]], t[_HEAD[axis]], out=out[_HEAD[axis]])
-    out[_LAST[axis]] = 0
+    elif dst is None:  # no flat view of out: take the difference into a new array
+        out[...] = diff(t, axis)
+    else:
+        src = _rows(t, axis)
+        np.subtract(src[1:], src[:-1], out=dst[:-1])
+        out[_LAST[axis]] = 0
     return out
 
 
@@ -140,19 +159,20 @@ def diff_adjoint(t, axis, out=None):
     Satisfies vdot(diff(x, a), y) == vdot(x, diff_adjoint(y, a)) for all x,
     y of matching shape.  ``out``, if given, receives the result and must not
     share memory with ``t`` (ValueError).
+
+    out[n] = t[n - 1] - t[n] is taken in one pass over the flat rows of t;
+    the first plane, -t[0], and the last, t[N - 2], overwrite it at the ends.
     """
-    _check3d(t)
-    _check_axis(axis)
-    if out is None:
-        out = np.empty_like(t)
-    else:
-        _check_out(t, out)
+    out, dst = _prepare(t, axis, out)
     if t.shape[axis] == 1:
         out.fill(0)
-        return out
-    np.negative(t[_FIRST[axis]], out=out[_FIRST[axis]])
-    np.subtract(t[_HEAD2[axis]], t[_MID[axis]], out=out[_MID[axis]])
-    out[_LAST[axis]] = t[_LAST2[axis]]
+    elif dst is None:
+        out[...] = diff_adjoint(t, axis)
+    else:
+        src = _rows(t, axis)
+        np.subtract(src[:-1], src[1:], out=dst[1:])
+        np.negative(t[_FIRST[axis]], out=out[_FIRST[axis]])
+        out[_LAST[axis]] = t[_LAST2[axis]]
     return out
 
 

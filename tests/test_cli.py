@@ -558,6 +558,8 @@ _BAD_KNOBS = [
     (_BUILDING, ["--scene-size", "nan", "--snr", "inf"], "scene_size_m"),
     (_BUILDING, ["--spacing", "inf"], "spacing"),
     (_BUILDING, ["--spacing", "nan"], "spacing"),
+    (_BUILDING, ["--spacing", "1e-9"], "spacing"),
+    (_BUILDING, ["--scene-size", "1e300", "--snr", "inf"], "scene_size_m"),
 ]
 
 

@@ -11,6 +11,7 @@ from tomosar.errors import ConfigurationError
 from tomosar.sensing import build_steering_matrix, default_geometry, forward
 from tomosar.simulate import (
     BUILDINGS,
+    MAX_CLOUD_POINTS,
     GridSpec,
     PointCloud,
     generate_building,
@@ -150,6 +151,24 @@ class TestNonFiniteKnobs:
     def test_building_spacing_named(self, spacing):
         with pytest.raises(ConfigurationError, match="spacing must be finite and positive"):
             generate_building("box", spacing, seed=0)
+
+    @pytest.mark.parametrize("spacing", [1e-9, 1e-300, 5e-324])
+    def test_building_spacing_bounded_before_sampling(self, spacing):
+        # about 1e21 points at 1e-9 m; 1e-300 and 5e-324 overflow a float count
+        with pytest.raises(ConfigurationError, match=f"spacing {spacing!r} samples .* points, more than"):
+            generate_building("box", spacing, seed=0)
+
+    def test_building_spacing_at_the_bound(self):
+        # the finest spacing of a box cloud that fits, and the next below it
+        assert generate_building("box", 0.02, seed=0).n_points <= MAX_CLOUD_POINTS
+        with pytest.raises(ConfigurationError, match="spacing 0.01 samples"):
+            generate_building("box", 0.01, seed=0)
+
+    @pytest.mark.parametrize("size", [1e300, 1e19, 1.7e308])
+    def test_scene_size_beyond_int64_indices_named(self, size):
+        cloud = normalize(generate_building("box", 1.0, seed=0))
+        with pytest.raises(ConfigurationError, match="scene_size_m .* puts voxel indices beyond the int64 range"):
+            project_to_grid(cloud, default_geometry(), default_grid(8, 8), seed=0, scene_size_m=size)
 
     @pytest.mark.parametrize("size", [math.nan, math.inf, 0.0])
     def test_scene_size_named(self, size):

@@ -17,6 +17,7 @@ from tomosar.sensing import (
     spectral_norm_sq,
 )
 from tomosar.solvers import (
+    SLAB_MIN_VOXELS,
     LearnedIstaParams,
     SolverConfig,
     _ista_matrix,
@@ -24,6 +25,7 @@ from tomosar.solvers import (
     _lista_gradient,
     _objective,
     _residual,
+    _sweep_buffers,
     _unrolled_infer,
     ista_fiber,
     light_reconstruct_enhance,
@@ -82,6 +84,11 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
 
+    @pytest.mark.parametrize("theta", [math.nan, np.array([0.1, math.nan])])
+    def test_nan_threshold_rejected(self, theta):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            soft_threshold(np.ones((3, 2), dtype=complex), theta)
+
     def test_matches_grid_minimizer(self):
         # prox of theta*|.| at z: argmin_t over t >= 0 of
         # 0.5*(t - |z|)^2 + theta*t, direction preserved
@@ -139,6 +146,37 @@ class TestSoftThresholdBitwise:
         inplace = z.copy()
         assert soft_threshold(inplace, theta, out=inplace) is inplace
         assert inplace.tobytes() == expect
+
+    PARTS = [0.0, -0.0, 1.5, -2.0, 5e-324, -5e-324, 2.2e-308, 1e-310, np.inf, -np.inf, np.nan, -np.nan]
+
+    @pytest.mark.parametrize(
+        "theta",
+        [0.0, 0.7, 5e-324, np.inf, np.array([0.0, 0.3, 0.0, 5e-324, 0.0, 2.0, 0.0, 1e-310, 0.0, 1.0, 0.0, np.inf])],
+        ids=["zero", "scalar", "subnormal", "inf", "per-column"],
+    )
+    def test_matches_allocating_kernel_on_special_values(self, theta):
+        # every pair of parts: entry (i, j) is PARTS[j] + 1j * PARTS[i].  An
+        # input without a NaN part gives the same bytes, infinities included;
+        # one with a NaN part gives NaN parts, whose sign bits may differ
+        parts = np.array(self.PARTS)
+        z = np.empty((parts.size, parts.size), dtype=complex)
+        z.real, z.imag = parts[None, :], parts[:, None]
+        has_nan = np.isnan(z.real) | np.isnan(z.imag)
+        with np.errstate(all="ignore"):
+            expect = _soft_threshold_allocating(z, theta)
+            for got in (soft_threshold(z, theta), soft_threshold(z, theta, work=np.full(2 * z.size, np.nan))):
+                assert got[~has_nan].tobytes() == expect[~has_nan].tobytes()
+                assert np.isnan(got[has_nan].view(float)).all()
+                assert np.isnan(expect[has_nan].view(float)).all()
+
+    def test_work_buffer_matches_allocating_kernel(self):
+        z = signed_zero_matrix((6, 5), seed=4)
+        theta = np.array([0.0, 0.3, 1.2, 0.0, 5.0])
+        expect = _soft_threshold_allocating(z, theta).tobytes()
+        work = np.full(2 * z.size + 3, np.nan)
+        assert soft_threshold(z[:, ::-1], theta[::-1], work=work)[:, ::-1].tobytes() == expect
+        assert soft_threshold(z, theta, out=z, work=work) is z
+        assert z.tobytes() == expect
 
     @pytest.mark.parametrize("z", [0.0, -0.0, complex(-0.0, 0.0), -1.5, 2.0 - 3.0j])
     def test_scalar_matches_allocating_kernel(self, z):
@@ -493,6 +531,46 @@ class TestSplitBregman:
             split_bregman_l1tv(np.zeros((a.shape[0], 4)), a)
         with pytest.raises(ValueError):
             split_bregman_l1tv(np.zeros((a.shape[0] + 1, 2, 2)), a)
+
+
+class TestSlabSweep:
+    """Above SLAB_MIN_VOXELS a split-Bregman sweep runs one slab per worker,
+    and no output byte depends on the worker count."""
+
+    @pytest.mark.parametrize("dims", [(64, 32, 32), (64, 33, 31)], ids=["64x32x32", "64x33x31"])
+    def test_bytes_independent_of_thread_count(self, dims, monkeypatch):
+        assert math.prod(dims) >= SLAB_MIN_VOXELS
+        a = build_steering_matrix(default_geometry())
+        r = np.random.default_rng(21)
+        x = np.zeros(dims, dtype=complex)
+        at = tuple(r.integers(0, n, size=150) for n in dims)
+        x[at] = r.standard_normal(150) + 1j * r.standard_normal(150)
+        y = forward(a, x)
+        y += 0.1 * (r.standard_normal(y.shape) + 1j * r.standard_normal(y.shape))
+        runs = []
+        for threads in (1, 2, 3):
+            monkeypatch.setenv("TOMOSAR_THREADS", str(threads))
+            assert len(_sweep_buffers(dims)[2]) == threads
+            xs, report = split_bregman_l1tv(y, a, SolverConfig(max_outer=4))
+            assert report.iterations == 4
+            xd = tv_denoise_enhance(xs, 0.05)
+            runs.append((xs.tobytes(), report.to_dict(), xd.tobytes()))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_slab_counts_and_buffer_sizes(self, monkeypatch):
+        monkeypatch.setenv("TOMOSAR_THREADS", "2")
+        dims = (64, 32, 32)
+        anchor, scratch, slabs = _sweep_buffers(dims)
+        assert anchor.shape == scratch.shape == dims
+        # two slabs: axis 0's update cut along axis 1, axes 1 and 2 along axis 0
+        assert [[w[1].shape for w in slab] for slab in slabs] == [[(64, 16, 32), (32, 32, 32), (32, 32, 32)]] * 2
+        # the four work buffers of all slabs hold one volume each
+        assert sum(max(w[1].size for w in slab) for slab in slabs) == math.prod(dims)
+        assert len(_sweep_buffers((64, 32, 16))[2]) == 1  # below SLAB_MIN_VOXELS
+        assert len(_sweep_buffers((64, 4096, 1), batch_axis=1)[2]) == 1  # a fiber batch
+        monkeypatch.setenv("TOMOSAR_THREADS", "1")
+        assert len(_sweep_buffers(dims)[2]) == 1
 
 
 class TestTvDenoise:

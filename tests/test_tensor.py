@@ -170,6 +170,28 @@ class TestDiffBitwise:
         assert op(t, axis, out=out) is out
         assert out.tobytes() == expect
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 5, 2), (6, 7, 5)], ids=["2x2x2", "2x5x2", "6x7x5"])
+    @pytest.mark.parametrize(
+        "op, frozen",
+        [(tensor.diff, _diff_allocating), (tensor.diff_adjoint, _diff_adjoint_allocating)],
+        ids=["diff", "diff_adjoint"],
+    )
+    def test_matches_allocating_kernel_on_views(self, op, frozen, dims, axis):
+        # the slabs of a split-Bregman sweep (cut along axis 1 or 0), strided
+        # and transposed inputs, and outputs with and without a flat view
+        t = signed_zero_tensor(dims, seed=sum(dims) + axis)
+        half0, half1 = dims[0] // 2, dims[1] // 2
+        views = [t[:, :half1], t[:, half1:], t[:half0], t[half0:], t[::2], t[:, ::-1], t.transpose(2, 1, 0)]
+        for view in views:
+            expect = frozen(view, axis).tobytes()
+            assert op(view, axis).tobytes() == expect
+            big = np.full(tuple(2 * n for n in view.shape), np.nan, dtype=complex)
+            for out in (np.full_like(view, np.nan), np.asfortranarray(np.full_like(view, np.nan)),
+                        big[: view.shape[0], : view.shape[1], : view.shape[2]], big[::2, ::2, ::2]):
+                assert op(view, axis, out=out) is out
+                assert np.ascontiguousarray(out).tobytes() == expect
+
     @pytest.mark.parametrize("op", [tensor.diff, tensor.diff_adjoint], ids=["diff", "diff_adjoint"])
     def test_aliased_out_rejected(self, op):
         t = random_tensor((3, 4, 5), seed=8)

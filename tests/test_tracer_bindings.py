@@ -76,3 +76,36 @@ def test_counters_run_on_the_cli_pipelines(tracer, tmp_path, monkeypatch):
                     "metrics.extract_point_cloud.points", "fileio.write_tensor.mb",
                     "fileio.write_point_cloud.rows", "pool.run_indexed.items", "trace.coverage"):
         assert metrics[counted]["value"] > 0, counted
+
+
+def test_slab_worker_spans_are_counted(tracer, tmp_path, monkeypatch):
+    # a 64x32x32 volume is above the slab constant, so each sweep of the two
+    # threads' run calls every kernel once per slab: the second slab's calls
+    # are what the serial run's sweeps call, and nothing else changes
+    from tomosar import cli, solvers
+
+    assert 64 * 32 * 32 >= solvers.SLAB_MIN_VOXELS
+    monkeypatch.chdir(tmp_path)
+    argv = ["structure-test", "--object", "one_step", "--method", "sb-tv", "--nx", "32", "--ny", "32",
+            "--max-outer", "3"]
+    counts = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TOMOSAR_THREADS", threads)
+        rec = tracer.Recorder()
+        rec.install()
+        try:
+            assert cli.main(argv + ["--out-dir", f"bundle-{threads}"]) == 0
+        finally:
+            rec.uninstall()
+        tot = rec.totals
+        assert tot["solvers.split_bregman_l1tv"]["iterations"] == 3
+        counts[threads] = {name: tot[name]["calls"]
+                           for name in ("tensor.diff", "tensor.diff_adjoint", "solvers.soft_threshold")}
+    # per sweep and slab, each of the three axes calls diff and diff_adjoint
+    # inner_iters + 1 times and shrinks 2 * inner_iters times (lambda1 > 0)
+    inner = solvers.SolverConfig().inner_iters
+    per_slab = {"tensor.diff": 3 * (inner + 1), "tensor.diff_adjoint": 3 * (inner + 1),
+                "solvers.soft_threshold": 3 * 2 * inner}
+    for name, calls in per_slab.items():
+        assert counts["2"][name] == counts["1"][name] + 3 * calls, name
+    assert (tmp_path / "bundle-1" / "recon.tsr3").read_bytes() == (tmp_path / "bundle-2" / "recon.tsr3").read_bytes()
