@@ -18,14 +18,7 @@ from .errors import ConfigurationError, DivergenceError
 from .metrics import evaluate_tensors, scoring_settings, timed
 from .sensing import build_steering_matrix, complex_noise, fiber_rng, noise_sigma, noiseless
 from .simulate import GridSpec, generate_echo, make_test_object
-from .solvers import (
-    _batch_config,
-    _ista_matrix,
-    _unrolled_infer,
-    light_reconstruct_enhance,
-    reconstruct_tensor,
-    split_bregman_l1tv,
-)
+from .solvers import reconstruct_tensor
 
 DEFAULT_SEPARATIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
 
@@ -61,27 +54,6 @@ def detect_peaks(mag, rel_threshold=0.25):
         if all(abs(i - j) > 1 for j in accepted):
             accepted.append(i)
     return sorted(accepted)
-
-
-def _solve_fiber_batch(y_batch, a, method, cfg, lista_params):
-    """Reconstruct a batch of independent fibers (columns of y_batch).
-
-    ista, fista, sb-tv and light-tv solve the batch in one run in which each
-    fiber gets the thresholds its solo run would derive and stops as its
-    solo run would, so it matches its solo solve to rounding; lista runs its
-    K blocks on every fiber.
-    """
-    if method in ("ista", "fista"):
-        return _ista_matrix(y_batch, a, _batch_config(cfg, a, y_batch), variant=method)[0]
-    if method == "lista":
-        if lista_params is None:
-            raise ConfigurationError("method 'lista' requires trained parameters")
-        return _unrolled_infer(y_batch, a, lista_params)
-    if method == "sb-tv":
-        return split_bregman_l1tv(y_batch, a, cfg, fibers=True)[0]
-    if method == "light-tv":
-        return light_reconstruct_enhance(y_batch, a, cfg, fibers=True)[0]
-    raise ConfigurationError(f"unknown method {method!r}")
 
 
 def _separation_units(n_separations, trials):
@@ -191,7 +163,7 @@ def resolution_curve(
     def run_unit(unit):
         y_batch = np.hstack([echoes(si) for si in unit])
         try:
-            x_batch = _solve_fiber_batch(y_batch, a, method, cfg, lista_params)
+            x_batch = reconstruct_tensor(y_batch, a, method, cfg, lista_params)[0]
         except DivergenceError as exc:
             sep, t = separations[unit[exc.column // trials]], exc.column % trials
             raise DivergenceError(

@@ -342,6 +342,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

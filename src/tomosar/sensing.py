@@ -42,6 +42,10 @@ class SystemGeometry:
         s = np.asarray(self.elevation_grid_m, dtype=np.float64)
         object.__setattr__(self, "baselines_m", b)
         object.__setattr__(self, "elevation_grid_m", s)
+        for name in ("wavelength_m", "reference_slant_range_m", "baselines_m", "elevation_grid_m"):
+            v = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.all(np.isfinite(v)):
+                raise ConfigurationError(f"{name} must be finite, got {float(v[~np.isfinite(v)][0])!r}")
         if not (self.wavelength_m > 0):
             raise ConfigurationError(f"wavelength must be positive, got {self.wavelength_m}")
         if not (self.reference_slant_range_m > 0):

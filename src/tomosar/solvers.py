@@ -15,7 +15,7 @@ anisotropic 3D total variation of :func:`tomosar.tensor.tv_norm`.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class SolverConfig:
 class ResolvedConfig:
     """A SolverConfig with every default filled in.
 
-    In the config of a fiber batch (:func:`_batch_config`) lambda1 and
-    lambda2 hold one value per fiber.
+    lambda1 and lambda2 hold one value per problem: a float for a fiber, a
+    slice or a volume, an array for a batch of fibers (a 2-D echo).
     """
 
     alpha: float
@@ -72,38 +72,47 @@ class ResolvedConfig:
     inner_iters: int
 
 
-def _default_lambda1(a, y2d):
-    """The documented default lambda1, 0.05 * max |A^H y|, of each column y of y2d."""
-    return 0.05 * np.max(np.abs(a.conj().T @ y2d), axis=0)
-
-
 def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9) -> ResolvedConfig:
     """Fill every None field of ``cfg`` from the data-dependent defaults.
 
-    ``y`` may be a fiber, slice, or tensor; only its adjoint image's maximum
-    magnitude matters for the default lambda1.  ``alpha_factor`` scales the
-    default step 1 / spectral_norm_sq(a) and is chosen per solver family;
-    an explicit cfg.alpha always wins.
+    ``y`` is a fiber, a volume, or a 2-D (n_e, m) batch of m fibers; a batch
+    gets one lambda1 and lambda2 per column, each what its fiber alone would
+    get, and an explicit value is repeated once per column.  The default
+    lambda1 of a problem is 0.05 * max |A^H y| over its entries.
+    ``alpha_factor`` scales the default step 1 / spectral_norm_sq(a) and is
+    chosen per solver family; an explicit cfg.alpha always wins.
     """
     cfg = cfg or SolverConfig()
     for name in ("max_outer", "inner_iters"):
         if not float(getattr(cfg, name)).is_integer():
             raise ConfigurationError(f"{name} must be a whole number, got {getattr(cfg, name)!r}")
     y2d = np.asarray(y, dtype=np.complex128).reshape(a.shape[0], -1)
+    batch = np.ndim(y) == 2
+
+    def per_problem(v):
+        return np.full(y2d.shape[1], float(v)) if batch else v
 
     def check(name, v, positive=True):
-        """v as a float; ConfigurationError naming the knob unless v is finite and > 0 (>= 0)."""
-        if not math.isfinite(v) or v < 0 or (positive and v == 0):
-            raise ConfigurationError(f"{name} must be finite and {'positive' if positive else '>= 0'}, got {v!r}")
-        return float(v)
+        """v as a float (an array: as floats); ConfigurationError naming the
+        knob and the first bad value unless every value is finite and > 0 (>= 0)."""
+        vals = np.asarray(v, dtype=np.float64)
+        ok = np.isfinite(vals) & ((vals > 0) if positive else (vals >= 0))
+        if not ok.all():
+            bad = v if vals.ndim == 0 else float(vals[~ok][0])
+            raise ConfigurationError(f"{name} must be finite and {'positive' if positive else '>= 0'}, got {bad!r}")
+        return vals if vals.ndim else float(v)
 
     # each knob is checked before the defaults derived from it
     alpha = check("alpha", alpha_factor / spectral_norm_sq(a) if cfg.alpha is None else cfg.alpha)
-    # rounding is monotone, so the largest scaled column maximum equals
-    # 0.05 times the global maximum bit for bit
-    lam1 = cfg.lambda1 if cfg.lambda1 is not None else float(np.max(_default_lambda1(a, y2d)))
+    if cfg.lambda1 is None:
+        lam1 = 0.05 * np.max(np.abs(a.conj().T @ y2d), axis=0)
+        # rounding is monotone, so the largest scaled column maximum equals
+        # 0.05 times the global maximum bit for bit
+        lam1 = lam1 if batch else float(np.max(lam1))
+    else:
+        lam1 = per_problem(cfg.lambda1)
     lam1 = check("lambda1", lam1, positive=False)
-    lam2 = check("lambda2", 0.01 * lam1 if cfg.lambda2 is None else cfg.lambda2, positive=False)
+    lam2 = check("lambda2", 0.01 * lam1 if cfg.lambda2 is None else per_problem(cfg.lambda2), positive=False)
     mu = check("mu", cfg.mu)
     r = ResolvedConfig(
         alpha=alpha,
@@ -121,24 +130,6 @@ def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9)
     if r.max_outer < 1 or r.inner_iters < 1:
         raise ConfigurationError("max_outer and inner_iters must be >= 1")
     return r
-
-
-def _batch_config(cfg: SolverConfig | None, a, y2d, alpha_factor=0.9) -> ResolvedConfig:
-    """The config of a batch of independent fibers, the columns of ``y2d``.
-
-    alpha and the other scalars are resolved once for the batch; lambda1 and
-    lambda2 are per-column arrays holding what :func:`resolve_config` derives
-    for each fiber alone: the explicit value, or lambda1 = 0.05 max |A^H y|
-    of the fiber and lambda2 = 0.01 lambda1.  A^H Y is computed once.
-    """
-    cfg = cfg or SolverConfig()
-    m = y2d.shape[1]
-    lam1 = _default_lambda1(a, y2d) if cfg.lambda1 is None else np.full(m, float(cfg.lambda1))
-    # the batch maximum in place of the default, which it equals bit for bit,
-    # so that resolve_config validates without a second A^H Y
-    rcfg = resolve_config(cfg.merged(lambda1=float(np.max(lam1))), a, y2d, alpha_factor)
-    lam2 = 0.01 * lam1 if cfg.lambda2 is None else np.full(m, rcfg.lambda2)
-    return replace(rcfg, lambda1=lam1, lambda2=lam2)
 
 
 @dataclass
@@ -342,7 +333,7 @@ def _objective(x, resid, lambda1, lambda2=None):
 def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
     """Proximal-gradient solve on an (n_z, m) iterate.
 
-    With a fiber-batch config (per-column lambda1, see :func:`_batch_config`)
+    With a fiber-batch config (per-column lambda1, see :func:`resolve_config`)
     the columns are independent problems, each with threshold alpha *
     lambda1 of its own and its own stop (:func:`_iterate`), so each column
     matches its solo solve.  With a scalar lambda1 the columns form one
@@ -446,21 +437,21 @@ def _sweep_buffers(dims, batch_axis=None):
     return anchor, flat[1][:anchor.size].reshape(dims), slabs
 
 
-def _as_volume(t, fibers, rows=None):
-    """(t as complex128, its order-3 view); a batch of fibers (2-D, with
-    ``fibers``) is viewed with a trailing axis of extent 1.
+def _as_volume(t, rows=None):
+    """(t as complex128, its order-3 view, whether t is a batch of fibers).
 
-    Raises ValueError unless the view is a nonempty order-3 tensor and, if
-    ``rows`` is given, t has that many rows.
+    A 2-D t is a batch of fibers, one per column, viewed with a trailing
+    axis of extent 1; a 3-D t is a volume.  Raises ValueError for any other
+    order, an empty t or, if ``rows`` is given, a t without that many rows.
     """
     t = np.asarray(t, dtype=np.complex128)
-    if fibers and (t.ndim != 2 or t.size == 0):
-        raise ValueError(f"expected a nonempty (n, fibers) batch, got shape={t.shape}")
-    t3 = t[:, :, None] if fibers else t
-    tensor._check3d(t3)
+    if t.ndim not in (2, 3) or t.size == 0:
+        raise ValueError(f"expected a nonempty (n, fibers) batch or order-3 tensor, got shape={t.shape}")
+    batch = t.ndim == 2
+    t3 = t[:, :, None] if batch else t
     if rows is not None and t.shape[0] != rows:
         raise ValueError(f"echo channel extent {t.shape[0]} does not match matrix rows {rows}")
-    return t, t3
+    return t, t3, batch
 
 
 def _no_diff(t, axis, out):
@@ -542,7 +533,7 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
     return np.divide(x, 3.0, out=x)
 
 
-def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
+def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
     """Hybrid l1 / 3D-TV tensor solver via per-axis split-Bregman.
 
     Each outer iteration takes a gradient step on the data term, then runs
@@ -557,25 +548,22 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
     Raises DivergenceError (carrying the trace) if the objective is
     non-finite or exceeds ten times its initial value.
 
-    With ``fibers`` the echo is instead an (n_e, m) batch of independent
-    fibers, one per column, solved in one run and returned as an (n_z, m)
-    array.  Each column gets the config (:func:`_batch_config`), the
-    operations and the stop (:func:`_iterate`) of its solo solve as
-    ``y[:, j].reshape(-1, 1, 1)``, and so its result up to rounding; a batch
-    report has no feasibility-gap trace.
+    A 2-D echo is instead an (n_e, m) batch of independent fibers, one per
+    column, solved in one run and returned as an (n_z, m) array.  Each
+    column gets the config (:func:`resolve_config`), the operations and the
+    stop (:func:`_iterate`) of its solo solve as ``y[:, j].reshape(-1, 1,
+    1)``, and so its result up to rounding; a batch report has no
+    feasibility-gap trace.
     """
-    y, y3 = _as_volume(y, fibers, a.shape[0])
+    y, y3, batch = _as_volume(y, a.shape[0])
     dims = (a.shape[1], y3.shape[1], y3.shape[2])
-    if fibers:
-        # the fibers lie side by side along axis 1, one threshold each
-        rcfg = _batch_config(cfg, a, y, alpha_factor=1.8)
-        lam1, lam2 = (lam.reshape(1, -1, 1) for lam in (rcfg.lambda1, rcfg.lambda2))
-    else:
-        rcfg = resolve_config(cfg, a, y, alpha_factor=1.8)
-        lam1, lam2 = rcfg.lambda1, rcfg.lambda2
+    rcfg = resolve_config(cfg, a, y, alpha_factor=1.8)
+    # a batch's fibers lie side by side along axis 1, one threshold each
+    batch_axis = 1 if batch else None
+    lam1, lam2 = (np.reshape(lam, (1, -1, 1)) if batch else lam for lam in (rcfg.lambda1, rcfg.lambda2))
     x_i, v_i, b_i = ([np.zeros(dims, dtype=np.complex128) for _ in range(3)] for _ in range(3))
-    bufs = _sweep_buffers(dims, 1 if fibers else None)
-    gap_trace = None if fibers else []
+    bufs = _sweep_buffers(dims, batch_axis)
+    gap_trace = None if batch else []
 
     def step(x):
         # z = x - alpha * A^H (A x - y)
@@ -586,9 +574,9 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
         np.subtract(x, z, out=z)
         x_new = _split_sweep(
             z, x_i, v_i, b_i, bufs, rcfg.alpha, lam1, lam2,
-            rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters, batch_axis=1 if fibers else None,
+            rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters, batch_axis=batch_axis,
         )
-        if not fibers:
+        if not batch:
             d = bufs[1]
             gap_trace.append(sum(
                 tensor.frobenius(np.subtract(tensor.diff(x_i[ax], ax, out=d), v_i[ax], out=d)) for ax in range(3)
@@ -602,10 +590,10 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None, *, fibers=False):
         step, np.zeros(dims, dtype=np.complex128), objective, rcfg.sigma, rcfg.max_outer, "sb-tv"
     )
     report.feasibility_gap_trace = gap_trace
-    return (x[:, :, 0] if fibers else x), report
+    return (x[:, :, 0] if batch else x), report
 
 
-def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, *, fibers=False):
+def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0):
     """Shallow TV enhancement: approximately solve
     min_U 1/2 ||U - X||_F^2 + lambda2 TV(U) with 10 fixed
     :func:`_split_sweep` passes, the data term replaced by the quadratic
@@ -614,16 +602,15 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, *, fibers=False):
     lambda2 = 0 (or an already TV-free input) returns the input unchanged.
     ``inner_iters`` controls the sub-problem steps per pass.
 
-    With ``fibers``, ``x`` is an (n_z, m) batch of fibers, one per column,
-    each denoised along its length as its solo call on
-    ``x[:, j].reshape(-1, 1, 1)`` would be; ``lambda2`` may then hold one
-    value per fiber, and a fiber with lambda2 = 0 or no variation is
-    returned unchanged.
+    A 2-D ``x`` is an (n_z, m) batch of fibers, one per column, each
+    denoised along its length as its solo call on ``x[:, j].reshape(-1, 1,
+    1)`` would be; ``lambda2`` may then hold one value per fiber, and a
+    fiber with lambda2 = 0 or no variation is returned unchanged.
     """
-    x, x3 = _as_volume(x, fibers)
+    x, x3, batch = _as_volume(x)
     if np.any(np.asarray(lambda2) < 0):
         raise ConfigurationError(f"lambda2 must be >= 0, got {lambda2}")
-    if fibers:
+    if batch:
         lam = np.broadcast_to(np.asarray(lambda2, dtype=np.float64), x.shape[1:])
         keep = (lam != 0.0) & np.any(tensor.diff(x3, 0), axis=(0, 2))
     else:
@@ -635,23 +622,22 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0, *, fibers=False):
     tau1 = 1.0 / (1.0 + 8.0 * mu)
     tau2 = 1.0 / mu
     # a batch denoises only its kept fibers, side by side along axis 1
-    p0, lam = (x3[:, keep], lam[keep].reshape(1, -1, 1)) if fibers else (x, lambda2)
+    p0, lam = (x3[:, keep], lam[keep].reshape(1, -1, 1)) if batch else (x, lambda2)
     u_i = [p0.copy() for _ in range(3)]
     v_i = [np.zeros_like(p0) for _ in range(3)]
     b_i = [np.zeros_like(p0) for _ in range(3)]
-    bufs = _sweep_buffers(p0.shape, 1 if fibers else None)
+    batch_axis = 1 if batch else None
+    bufs = _sweep_buffers(p0.shape, batch_axis)
     for _ in range(10):
-        out = _split_sweep(
-            p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters, batch_axis=1 if fibers else None
-        )
-    if not fibers:
+        out = _split_sweep(p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters, batch_axis=batch_axis)
+    if not batch:
         return out
     res = x.copy()
     res[:, keep] = out[:, :, 0]
     return res
 
 
-def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None, *, fibers=False):
+def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None):
     """Light pipeline: slice-wise ISTA over all frontal slices, then one
     TV-denoise enhancement pass with the config's mu on the assembled tensor.
 
@@ -660,26 +646,22 @@ def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None, *, fibers=F
     thread.  Returns (tensor, report); the report's two-entry traces cover
     the assembly stage and the enhancement stage.
 
-    With ``fibers`` the echo is instead an (n_e, m) batch of independent
-    fibers, one per column, solved as one slice and returned as an (n_z, m)
-    array: each fiber gets the config (:func:`_batch_config`) and the ISTA
-    stop of its solo solve as ``y[:, j].reshape(-1, 1, 1)``; the report's
-    traces then keep, per stage, the objective summed over the fibers and
-    the largest relative change among them, as :func:`_iterate` does.
+    A 2-D echo is instead an (n_e, m) batch of independent fibers, one per
+    column, solved as one slice and returned as an (n_z, m) array: each
+    fiber gets the config (:func:`resolve_config`) and the ISTA stop of its
+    solo solve as ``y[:, j].reshape(-1, 1, 1)``; the report's traces then
+    keep, per stage, the objective summed over the fibers and the largest
+    relative change among them, as :func:`_iterate` does.
     """
-    y, y3 = _as_volume(y, fibers, a.shape[0])
-    rcfg = _batch_config(cfg, a, y) if fibers else resolve_config(cfg, a, y)
-    n_y = y3.shape[2]
+    y, y3, batch = _as_volume(y, a.shape[0])
+    rcfg = resolve_config(cfg, a, y)
     t0 = time.perf_counter()
-
-    def solve_slice(k):
-        return _ista_matrix(y3[:, :, k], a, rcfg, variant="ista")
-
-    # one worker: the 64-column slice solves hold the GIL, and at 64^3 two
-    # workers measured 3.2-4.6 s against 3.1-3.5 s for one
-    results = run_indexed(solve_slice, range(n_y), workers=1)
-    x = results[0][0] if fibers else np.stack([r[0] for r in results], axis=2)
-    x_enh = tv_denoise_enhance(x, rcfg.lambda2, inner_iters=rcfg.inner_iters, mu=rcfg.mu, fibers=fibers)
+    # the slices in turn on the caller's thread: the 64-column slice solves
+    # hold the GIL, and at 64^3 two worker threads measured 3.2-4.6 s against
+    # 3.1-3.5 s for one
+    results = [_ista_matrix(y3[:, :, k], a, rcfg, variant="ista") for k in range(y3.shape[2])]
+    x = results[0][0] if batch else np.stack([r[0] for r in results], axis=2)
+    x_enh = tv_denoise_enhance(x, rcfg.lambda2, inner_iters=rcfg.inner_iters, mu=rcfg.mu)
     k = np.size(rcfg.lambda1)
     stages = ((np.zeros_like(x), x), (x, x_enh))
     report = SolverReport(
@@ -707,6 +689,9 @@ class LearnedIstaParams:
         self.theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
         if self.alpha.size < 1 or self.alpha.shape != self.theta.shape:
             raise ConfigurationError("alpha and theta must be equal-length, nonempty vectors")
+        for name, v in (("alpha", self.alpha), ("theta", self.theta)):
+            if not np.all(np.isfinite(v)):
+                raise ConfigurationError(f"learned parameters must be finite, got {name} {v.tolist()}")
         if np.any(self.alpha < 0) or np.any(self.theta < 0):
             raise ConfigurationError("learned parameters must be nonnegative")
 
@@ -838,9 +823,9 @@ def lista_train(a, dataset, k_blocks=9, epochs=200, lr=0.1, seed=0):
         raise ConfigurationError(f"lr must be finite and positive, got {lr!r}")
 
     alpha0 = 0.9 / spectral_norm_sq(a)
-    # the mean of the per-fiber maxima: a different rule from the maximum
-    # that resolve_config takes of _default_lambda1, and the one that the
-    # bytes of trained parameter files depend on
+    # 0.05 times the mean of the per-fiber maxima, not resolve_config's
+    # maximum per problem: the rule that the bytes of trained parameter
+    # files depend on
     lam0 = 0.05 * float(np.mean(np.max(np.abs(a.conj().T @ y2d), axis=0)))
     vec = np.concatenate([np.full(k_blocks, alpha0), np.full(k_blocks, alpha0 * lam0)])
 
@@ -876,21 +861,23 @@ def lista_train(a, dataset, k_blocks=9, epochs=200, lr=0.1, seed=0):
 
 
 def reconstruct_tensor(y, a, method, cfg: SolverConfig | None = None, lista_params=None):
-    """Dispatch a full echo tensor to one reconstruction method.
+    """Dispatch an echo to one reconstruction method.
 
-    Methods: "ista" / "fista" (batched over all fibers with a global
-    threshold), "sb-tv", "light-tv", "lista" (requires ``lista_params``).
-    The echo must be a nonempty, finite order-3 tensor with one channel per
-    matrix row (ValueError otherwise).  Returns (scene tensor, SolverReport).
+    Methods: "ista" / "fista" (the fibers of a volume share one threshold),
+    "sb-tv", "light-tv", "lista" (requires ``lista_params``).
+    The echo must be nonempty and finite, with one channel per matrix row
+    (ValueError otherwise): an order-3 tensor, one problem, or a 2-D
+    (n_e, m) batch of m independent fibers, each solved as its solo solve
+    would be and returned as an (n_z, m) array.  Returns (scene, SolverReport).
     """
-    y = tensor.as_tensor(y)
-    if y.shape[0] != a.shape[0]:
-        raise ValueError(f"echo channel extent {y.shape[0]} does not match matrix rows {a.shape[0]}")
+    y, _, batch = _as_volume(y, a.shape[0])
+    if not np.all(np.isfinite(y)):
+        raise ValueError("echo contains non-finite entries")
     if method == "sb-tv":
         return split_bregman_l1tv(y, a, cfg)
     if method == "light-tv":
         return light_reconstruct_enhance(y, a, cfg)
-    y2d = y.reshape(y.shape[0], -1)
+    y2d = _columns(y)
     if method in ("ista", "fista"):
         x2d, report = _ista_matrix(y2d, a, resolve_config(cfg, a, y), variant=method)
     elif method == "lista":
@@ -903,15 +890,17 @@ def reconstruct_tensor(y, a, method, cfg: SolverConfig | None = None, lista_para
             alpha_k, theta_k = next(blocks)
             return _prox_step(x, y2d, a, ah, alpha_k, theta_k)
 
-        # data-fit objective only: the unrolled blocks carry no single lambda
-        # pair; sigma = 0 never stops early, and a network that has run all
-        # its K blocks is complete, so the report says converged
+        # data-fit objective only (lambda1 = 0 for each problem): the unrolled
+        # blocks carry no single lambda pair; sigma = 0 never stops early,
+        # and a network that has run all its K blocks is complete, so the
+        # report says converged
+        lam = np.zeros(y2d.shape[1]) if batch else 0.0
         x0 = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
-        objective = lambda x: _objective(x, _residual(x, y2d, a), 0.0)
+        objective = lambda x: _objective(x, _residual(x, y2d, a), lam)
         x2d, report = _iterate(step, x0, objective, 0.0, lista_params.blocks, "lista")
         report.converged = True
     else:
         raise ConfigurationError(
             f"unknown method {method!r}; choose from ista, fista, sb-tv, light-tv, lista"
         )
-    return x2d.reshape(a.shape[1], y.shape[1], y.shape[2]), report
+    return x2d.reshape(a.shape[1], *y.shape[1:]), report

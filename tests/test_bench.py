@@ -13,7 +13,6 @@ from tomosar import bench
 from tomosar.bench import (
     DEFAULT_SEPARATIONS,
     _separation_units,
-    _solve_fiber_batch,
     detect_peaks,
     resolution_curve,
     run_structure_test,
@@ -32,10 +31,11 @@ from tomosar.simulate import GridSpec, make_test_object
 from tomosar.solvers import (
     LearnedIstaParams,
     SolverConfig,
-    _batch_config,
     _ista_matrix,
+    _unrolled_infer,
     ista_fiber,
     light_reconstruct_enhance,
+    reconstruct_tensor,
     resolve_config,
     split_bregman_l1tv,
     tv_denoise_enhance,
@@ -119,7 +119,7 @@ class TestResolutionCurve:
         def no_solve(*args):
             raise AssertionError("solved before the separations were checked")
 
-        monkeypatch.setattr(bench, "_solve_fiber_batch", no_solve)
+        monkeypatch.setattr(bench, "reconstruct_tensor", no_solve)
         with pytest.raises(ConfigurationError, match="separations must be finite, got"):
             resolution_curve(default_geometry(), separations=seps, trials=2, threads=1)
 
@@ -136,7 +136,7 @@ class TestResolutionCurve:
         def no_solve(*args):
             raise AssertionError("solved before the scoring knobs were checked")
 
-        monkeypatch.setattr(bench, "_solve_fiber_batch", no_solve)
+        monkeypatch.setattr(bench, "reconstruct_tensor", no_solve)
         with pytest.raises(ConfigurationError, match=message):
             resolution_curve(default_geometry(), separations=(0.6,), trials=2, threads=1,
                              **{knob: value})
@@ -225,7 +225,7 @@ class TestFiberBatch:
     @pytest.mark.parametrize("variant", ["ista", "fista"])
     def test_ista_columns_match_solo(self, variant, case):
         a, y, cfg = self.batch(case)
-        x, report = _ista_matrix(y, a, _batch_config(cfg, a, y), variant=variant)
+        x, report = _ista_matrix(y, a, resolve_config(cfg, a, y), variant=variant)
         solo = [ista_fiber(y[:, j], a, cfg, variant=variant) for j in range(y.shape[1])]
         assert report.column_iterations == [r.iterations for _, r in solo]
         assert report.iterations == max(report.column_iterations)
@@ -238,7 +238,7 @@ class TestFiberBatch:
     @pytest.mark.parametrize("case", list(CASES))
     def test_sb_tv_columns_match_solo(self, case):
         a, y, cfg = self.batch(case)
-        x, report = split_bregman_l1tv(y, a, cfg, fibers=True)
+        x, report = split_bregman_l1tv(y, a, cfg)
         solo = [split_bregman_l1tv(y[:, j].reshape(-1, 1, 1), a, cfg) for j in range(y.shape[1])]
         assert x.shape == (a.shape[1], y.shape[1])
         assert report.column_iterations == [r.iterations for _, r in solo]
@@ -254,19 +254,19 @@ class TestFiberBatch:
     @pytest.mark.parametrize("case", list(CASES))
     def test_light_tv_columns_match_solo(self, case):
         a, y, cfg = self.batch(case)
-        x, report = light_reconstruct_enhance(y, a, cfg, fibers=True)
+        x, report = light_reconstruct_enhance(y, a, cfg)
         solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg) for j in range(y.shape[1])]
         assert report.iterations == 2 == solo[0][1].iterations
         assert_matches_solo(x, [xs[:, 0, 0] for xs, _ in solo])
         # the ISTA stage stops each fiber where its solo run stops
-        _, ista = _ista_matrix(y, a, _batch_config(cfg, a, y))
+        _, ista = _ista_matrix(y, a, resolve_config(cfg, a, y))
         solo_its = [_ista_matrix(y[:, [j]], a, resolve_config(cfg, a, y[:, j]))[1].iterations
                     for j in range(y.shape[1])]
         assert ista.column_iterations == solo_its
 
     def test_light_tv_batch_report_keeps_one_float_per_stage(self):
         a, y, cfg = self.batch("early-and-capped")
-        _, report = light_reconstruct_enhance(y, a, cfg, fibers=True)
+        _, report = light_reconstruct_enhance(y, a, cfg)
         solo = [light_reconstruct_enhance(y[:, j].reshape(-1, 1, 1), a, cfg)[1] for j in range(y.shape[1])]
         assert all(isinstance(v, float) for v in report.objective_trace + report.rel_change_trace)
         assert len(report.objective_trace) == len(report.rel_change_trace) == 2
@@ -279,10 +279,10 @@ class TestFiberBatch:
     @pytest.mark.parametrize("method", ["ista", "fista", "sb-tv", "light-tv"])
     def test_resolution_batch_is_the_fiber_solve(self, method):
         a, y, cfg = self.batch("default")
-        x = _solve_fiber_batch(y, a, method, cfg, None)
+        x, _ = reconstruct_tensor(y, a, method, cfg)
         if method in ("ista", "fista"):
             solo = [ista_fiber(y[:, j], a, cfg, variant=method) for j in range(y.shape[1])]
-            _, report = _ista_matrix(y, a, _batch_config(cfg, a, y), variant=method)
+            _, report = _ista_matrix(y, a, resolve_config(cfg, a, y), variant=method)
             assert report.column_iterations == [r.iterations for _, r in solo]
             solo = [xs for xs, _ in solo]
         elif method == "sb-tv":
@@ -295,16 +295,16 @@ class TestFiberBatch:
     def test_light_tv_batch_passes_mu_to_its_tv_stage(self):
         a, y, _ = self.batch("default")
         cfg = SolverConfig(mu=4.0)
-        rcfg = _batch_config(cfg, a, y)
+        rcfg = resolve_config(cfg, a, y)
         stage, _ = _ista_matrix(y, a, rcfg)
-        expect = tv_denoise_enhance(stage, rcfg.lambda2, rcfg.inner_iters, mu=4.0, fibers=True)
-        assert np.array_equal(_solve_fiber_batch(y, a, "light-tv", cfg, None), expect)
-        assert not np.array_equal(expect, tv_denoise_enhance(stage, rcfg.lambda2, rcfg.inner_iters, fibers=True))
+        expect = tv_denoise_enhance(stage, rcfg.lambda2, rcfg.inner_iters, mu=4.0)
+        assert np.array_equal(reconstruct_tensor(y, a, "light-tv", cfg)[0], expect)
+        assert not np.array_equal(expect, tv_denoise_enhance(stage, rcfg.lambda2, rcfg.inner_iters))
 
-    def test_batch_config_matches_solo_configs(self):
+    def test_resolve_config_of_a_batch_matches_solo_configs(self):
         a, y, _ = self.batch("default")
         for cfg, factor in ((None, 0.9), (SolverConfig(lambda1=0.3, lambda2=0.02), 1.8)):
-            rcfg = _batch_config(cfg, a, y, factor)
+            rcfg = resolve_config(cfg, a, y, factor)
             for j in range(y.shape[1]):
                 solo = resolve_config(cfg, a, y[:, j], factor)
                 assert rcfg.alpha == solo.alpha
@@ -312,16 +312,35 @@ class TestFiberBatch:
                 assert rcfg.lambda2[j] == pytest.approx(solo.lambda2, rel=1e-14)
 
     def test_requires_a_2d_batch(self):
+        # a 2-D echo is a batch and a 3-D one a volume; an empty batch and
+        # any other order are rejected
         a = build_steering_matrix(default_geometry())
-        with pytest.raises(ValueError):
-            split_bregman_l1tv(np.zeros((a.shape[0], 2, 1)), a, fibers=True)
-        with pytest.raises(ValueError):
-            light_reconstruct_enhance(np.zeros((a.shape[0], 0)), a, fibers=True)
+        n = a.shape[0]
+        for y in (np.zeros((n, 0)), np.zeros(n), np.zeros((n, 2, 1, 1))):
+            for solve in (split_bregman_l1tv, light_reconstruct_enhance):
+                with pytest.raises(ValueError, match="expected a nonempty"):
+                    solve(y, a)
+            with pytest.raises(ValueError, match="expected a nonempty"):
+                reconstruct_tensor(y, a, "fista")
+            with pytest.raises(ValueError, match="expected a nonempty"):
+                tv_denoise_enhance(y[:1], 0.1)
+
+    def test_lista_batch_is_the_unrolled_blocks(self):
+        a, y, _ = self.batch("early-and-capped")
+        alpha = 0.9 / spectral_norm_sq(a)
+        params = LearnedIstaParams(alpha=alpha * np.linspace(0.6, 1.0, 7), theta=alpha * np.linspace(0.3, 0.05, 7))
+        x, report = reconstruct_tensor(y, a, "lista", lista_params=params)
+        assert x.tobytes() == _unrolled_infer(y, a, params).tobytes()
+        assert report.iterations == params.blocks and report.column_iterations == [params.blocks] * y.shape[1]
+        assert report.converged
 
 
 class TestFiberBatchDivergence:
+    # the step of SolverConfig(alpha=1.0) in every block of a lista network
+    DIVERGENT_LISTA = LearnedIstaParams(alpha=np.ones(5), theta=np.zeros(5))
+
     @pytest.mark.parametrize("method, solver", [
-        ("ista", "ista"), ("fista", "fista"), ("sb-tv", "sb-tv"), ("light-tv", "ista"),
+        ("ista", "ista"), ("fista", "fista"), ("sb-tv", "sb-tv"), ("light-tv", "ista"), ("lista", "lista"),
     ])
     def test_error_names_the_column(self, method, solver):
         a = build_steering_matrix(default_geometry())
@@ -329,7 +348,7 @@ class TestFiberBatchDivergence:
         # column 0 is silent and cannot diverge, so the first column to go is 1
         y[:, 0] = 0.0
         with pytest.raises(DivergenceError) as err:
-            _solve_fiber_batch(y, a, method, SolverConfig(alpha=1.0), None)
+            reconstruct_tensor(y, a, method, SolverConfig(alpha=1.0), self.DIVERGENT_LISTA)
         msg = str(err.value)
         assert msg.startswith(f"{solver} at iteration ")
         assert ", column 1: objective " in msg
@@ -338,21 +357,23 @@ class TestFiberBatchDivergence:
         trace = err.value.objective_trace
         assert len(trace) == it + 1 and all(isinstance(v, float) for v in trace)
 
-    @pytest.mark.parametrize("method", ["ista", "fista", "sb-tv", "light-tv"])
+    @pytest.mark.parametrize("method", ["ista", "fista", "sb-tv", "light-tv", "lista"])
     def test_resolution_curve_raises(self, method):
         g = default_geometry()
-        with pytest.raises(DivergenceError, match=r"at iteration \d+, column \d+: objective"):
-            resolution_curve(g, separations=(1.0,), trials=2, method=method, cfg=SolverConfig(alpha=1.0), threads=1)
+        match = r"at iteration \d+, column \d+: objective .* \(separation 1\.0 rho_s, trial \d\)$"
+        with pytest.raises(DivergenceError, match=match):
+            resolution_curve(g, separations=(1.0,), trials=2, method=method, cfg=SolverConfig(alpha=1.0),
+                             lista_params=self.DIVERGENT_LISTA, threads=1)
 
     def test_packed_study_names_separation_and_trial(self, monkeypatch):
-        solve = bench._solve_fiber_batch
+        solve = bench.reconstruct_tensor
 
         def silence_first_columns(y_batch, *args):
             # silent columns cannot diverge, so the first to go is column 4
             y_batch[:, :4] = 0.0
             return solve(y_batch, *args)
 
-        monkeypatch.setattr(bench, "_solve_fiber_batch", silence_first_columns)
+        monkeypatch.setattr(bench, "reconstruct_tensor", silence_first_columns)
         g = default_geometry()
         with pytest.raises(DivergenceError) as err:
             resolution_curve(g, separations=(1.0, 0.6), trials=3, method="sb-tv", cfg=SolverConfig(alpha=1.0),

@@ -2,6 +2,7 @@
 exit codes, and cross-method consistency."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import tomosar
-from tomosar import bench, cli
+from tomosar import bench, cli, fileio
 from tomosar.fileio import read_tensor, write_lista_params, write_tensor
 from tomosar.sensing import build_steering_matrix, default_geometry, spectral_norm_sq
 from tomosar.solvers import LearnedIstaParams
@@ -584,4 +585,74 @@ class TestNonFiniteKnobs:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
         assert knob in res.stderr
+        assert not out.exists()
+
+
+class TestInvalidInputFiles:
+    """A geometry or parameter file with a non-finite number, and a run out
+    of memory, exit 2 with one `error:` line and write no output."""
+
+    @pytest.fixture(scope="class")
+    def echo(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("echo") / "echo.tsr3"
+        r = np.random.default_rng(0)
+        write_tensor(str(path), r.standard_normal((12, 2, 2)) + 1j * r.standard_normal((12, 2, 2)))
+        return path
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("simulate", "baselines_m", math.inf),
+        ("resolution-test", "baselines_m", math.nan),
+        ("simulate", "wavelength_m", math.inf),
+        ("reconstruct", "wavelength_m", math.inf),
+        ("resolution-test", "elevation_grid_m", -math.inf),
+        ("reconstruct", "reference_slant_range_m", math.nan),
+    ])
+    def test_nonfinite_geometry_exits_2_naming_the_file(self, tmp_path, capsys, echo, command, field, value):
+        geom = tmp_path / "geometry.json"
+        fileio.write_geometry(str(geom), default_geometry())
+        doc = fileio.read_json(str(geom))
+        if isinstance(doc[field], list):
+            doc[field][1] = value
+        else:
+            doc[field] = value
+        fileio.write_json(str(geom), doc)
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", "--model", "one_step", "--nx", "4", "--ny", "4",
+                         "--out-echo", str(tmp_path / "echo.tsr3"), "--out-scene"],
+            "resolution-test": ["resolution-test", "--trials", "2", "--out"],
+            "reconstruct": ["reconstruct", "--echo", str(echo), "--method", "fista", "--out"],
+        }[command]
+        assert cli.main(argv + [str(out), "--geometry", str(geom)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {geom}: {field} must be finite, got ") and err.count("\n") == 1, err
+        assert not out.exists() and not (tmp_path / "echo.tsr3").exists()
+
+    @pytest.mark.parametrize("alpha, theta", [([math.nan], [0.1]), ([0.1], [math.inf]), ([math.inf], [0.1])])
+    def test_nonfinite_parameters_exit_2_naming_the_file(self, tmp_path, capsys, alpha, theta):
+        params = tmp_path / "params.json"
+        fileio.write_json(str(params), {"blocks": 1, "alpha": alpha, "theta": theta})
+        out = tmp_path / "curve.csv"
+        rc = cli.main(["resolution-test", "--method", "lista", "--params", str(params), "--trials", "2",
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {params}: learned parameters must be finite") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 9.31 TiB for an array"), "Unable to allocate 9.31 TiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys, exc, message):
+        # no allocation: the scene builder raises as numpy does for an array too large to allocate
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "make_test_object", no_memory)
+        out = tmp_path / "scene.tsr3"
+        rc = cli.main(["simulate", "--model", "one_step", "--nx", "100000", "--ny", "100000",
+                       "--out-scene", str(out), "--out-echo", str(tmp_path / "echo.tsr3")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()

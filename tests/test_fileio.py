@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -207,8 +208,11 @@ class TestLearnedParamsDocument:
         ({"blocks": 1, "alpha": [0.1], "theta": 0.2}, "'theta' must be a list of numbers"),
         ({"blocks": 1, "alpha": [-0.1], "theta": [0.1]}, "learned parameters must be nonnegative"),
         ({"blocks": 1, "alpha": [0.1], "theta": [0.1, 0.2]}, "alpha and theta must be equal-length"),
+        ({"blocks": 1, "alpha": [math.nan], "theta": [0.1]}, r"learned parameters must be finite, got alpha \[nan\]"),
+        ({"blocks": 2, "alpha": [0.1, 0.1], "theta": [0.1, math.inf]},
+         r"learned parameters must be finite, got theta \[0\.1, inf\]"),
     ], ids=["no-blocks", "no-alpha", "array", "string-blocks", "string-in-list", "number-for-list",
-            "negative", "unequal-lengths"])
+            "negative", "unequal-lengths", "nan-alpha", "infinite-theta"])
     def test_malformed_document_rejected_naming_the_file(self, tmp_path, doc, message):
         path = str(tmp_path / "p.json")
         fileio.write_json(path, doc)

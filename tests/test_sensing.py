@@ -1,5 +1,6 @@
 """Array geometry, steering matrix, forward/adjoint operators, noise."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,15 @@ class TestGeometry:
     def test_rejects_nonpositive_wavelength(self):
         with pytest.raises(ConfigurationError):
             make_geometry([0.0, 1.0], [-1.0, 1.0], wavelength_m=0.0)
+
+    @pytest.mark.parametrize("field", ["wavelength_m", "reference_slant_range_m", "baselines_m", "elevation_grid_m"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_field_by_name(self, field, value):
+        g = default_geometry()
+        v = getattr(g, field)
+        bad = np.where(np.arange(v.size) == v.size - 1, value, v) if np.ndim(v) else value
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got -?(inf|nan)$"):
+            dataclasses.replace(g, **{field: bad})
 
 
 class TestSteeringMatrix:

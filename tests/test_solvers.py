@@ -215,8 +215,9 @@ class TestIstaMatrixKernels:
         x_true = np.zeros((a.shape[1], 4), dtype=np.complex128)
         x_true[[1, 5], [0, 2]] = [1.0, 0.7j]
         y2d = a @ x_true + 0.2 * (r.standard_normal((a.shape[0], 4)) + 1j * r.standard_normal((a.shape[0], 4)))
-        # sigma far below any relative change: every run makes ITERS steps
-        rcfg = resolve_config(SolverConfig(sigma=1e-300, max_outer=self.ITERS), a, y2d)
+        # sigma far below any relative change: every run makes ITERS steps;
+        # resolved as an (n_e, 4, 1) slice, one problem with one lambda1
+        rcfg = resolve_config(SolverConfig(sigma=1e-300, max_outer=self.ITERS), a, y2d[:, :, None])
         return a, y2d, rcfg
 
     @pytest.mark.parametrize("variant, per_iter, saved", [("ista", 2, 0), ("fista", 3, 1)])
@@ -375,8 +376,10 @@ class TestIstaSlice:
 
     def test_dim_validation(self):
         a = build_steering_matrix(small_geometry())
-        with pytest.raises(ValueError):
-            reconstruct_tensor(np.zeros((a.shape[0], 3)), a, "ista")
+        # a 2-D echo is a batch of fibers; an empty one and other orders are rejected
+        for y in (np.zeros((a.shape[0], 0)), np.zeros(a.shape[0]), np.zeros((a.shape[0], 3, 1, 1))):
+            with pytest.raises(ValueError, match="expected a nonempty"):
+                reconstruct_tensor(y, a, "ista")
         with pytest.raises(ValueError, match="does not match matrix rows"):
             reconstruct_tensor(np.zeros((a.shape[0] + 2, 3, 1)), a, "ista")
 
@@ -526,9 +529,11 @@ class TestSplitBregman:
         assert gap[-1] < gap[0]
 
     def test_echo_must_be_3d(self):
+        # or 2-D, a batch of fibers; an empty batch and other orders are rejected
         a = build_steering_matrix(small_geometry())
-        with pytest.raises(ValueError):
-            split_bregman_l1tv(np.zeros((a.shape[0], 4)), a)
+        for y in (np.zeros((a.shape[0], 0)), np.zeros(a.shape[0]), np.zeros((a.shape[0], 2, 2, 1))):
+            with pytest.raises(ValueError, match="expected a nonempty"):
+                split_bregman_l1tv(y, a)
         with pytest.raises(ValueError):
             split_bregman_l1tv(np.zeros((a.shape[0] + 1, 2, 2)), a)
 

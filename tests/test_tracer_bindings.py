@@ -32,16 +32,16 @@ def tracer():
 def test_recorder_installs_and_uninstalls_on_this_package(tracer):
     from tomosar import bench, solvers
 
-    originals = (solvers.soft_threshold, bench.run_indexed, bench._ista_matrix)
+    originals = (solvers.soft_threshold, bench.run_indexed, solvers._ista_matrix)
     rec = tracer.Recorder()
     rec.install()
     try:
         assert solvers.soft_threshold is not originals[0]
         assert bench.run_indexed is not originals[1]
-        assert bench._ista_matrix is not originals[2]
+        assert solvers._ista_matrix is not originals[2]
     finally:
         rec.uninstall()
-    assert (solvers.soft_threshold, bench.run_indexed, bench._ista_matrix) == originals
+    assert (solvers.soft_threshold, bench.run_indexed, solvers._ista_matrix) == originals
 
 
 def test_counters_run_on_the_cli_pipelines(tracer, tmp_path, monkeypatch):
