@@ -200,24 +200,29 @@ def _columns(t):
     return t.reshape(t.shape[0], -1)
 
 
-def _iterate(step, x, objective, sigma, max_outer, solver):
+def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver):
     """The outer loop shared by every iterative solver.
 
-    Applies ``x = step(x)`` from the given start.  The objective returns one
-    value per problem: k values pose k independent problems, the columns of
-    ``x.reshape(-1, k)``, iterated side by side (a volume is a batch of
-    one).  Each problem stops once its relative change drops below
-    ``sigma`` and keeps its value from that iteration; the loop ends when
-    all have stopped or after ``max_outer`` steps.  A DivergenceError,
-    naming ``solver``, the iteration, the column of a larger batch and its
-    objective, is raised as soon as the objective of a running problem is
-    non-finite or exceeds ten times its start value.  The report counts
-    the steps run and each problem's own (``column_iterations``), is
-    converged only if every problem is, and traces per iteration the
-    objective summed over the problems (also carried by a DivergenceError)
-    and the largest relative change among those still running.
+    Applies ``x = step(x, resid)`` from the given start.  ``resid``, the
+    residual y2d - a @ x over the columns of ``x``, is formed once per
+    iterate: it scores the iterate through :func:`_objective` with
+    ``lambda1`` and ``lambda2``, and the step reads it but does not write
+    it.  The objective has one value per problem: k values pose
+    k independent problems, the columns of ``x.reshape(-1, k)``, iterated
+    side by side (a volume is a batch of one).  Each problem stops once its
+    relative change drops below ``sigma`` and keeps its value from that
+    iteration; the loop ends when all have stopped or after ``max_outer``
+    steps.  A DivergenceError, naming ``solver``, the iteration, the column
+    of a larger batch and its objective, is raised as soon as the objective
+    of a running problem is non-finite or exceeds ten times its start
+    value.  The report counts the steps run and each problem's own
+    (``column_iterations``), is converged only if every problem is, and
+    traces per iteration the objective summed over the problems (also
+    carried by a DivergenceError) and the largest relative change among
+    those still running.
     """
-    obj0 = objective(x)
+    resid = _residual(_columns(x), y2d, a)
+    obj0 = _objective(x, resid, lambda1, lambda2)
     k = obj0.size
     # ten times a positive start objective, else the largest float, so that
     # a comparison with the limit also fails for inf and NaN
@@ -233,10 +238,13 @@ def _iterate(step, x, objective, sigma, max_outer, solver):
     converged = False
     t0 = time.perf_counter()
     for it in range(max_outer):
-        x_new = step(x)
+        x_new = step(x, resid)
+        # released before the next residual is formed: one alive at a time
+        resid = None
         rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
         x = x_new
-        obj = objective(x)
+        resid = _residual(_columns(x), y2d, a)
+        obj = _objective(x, resid, lambda1, lambda2)
         obj_trace.append(float(obj.sum()))
         # stopped problems are still stepped but no longer traced, guarded or stopped
         run = slice(None) if frozen is None else active
@@ -343,26 +351,17 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
     if variant not in ("ista", "fista"):
         raise ConfigurationError(f"unknown variant {variant!r}")
     ah = a.conj().T
-    lam = rcfg.lambda1
-    theta = rcfg.alpha * lam
+    theta = rcfg.alpha * rcfg.lambda1
     x0 = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
     # fista's extrapolated point (the start until the first step) and momentum
     z, t_k = x0, 1.0
-    # the last iterate the objective saw and its residual y2d - a @ x
-    seen = (None, None)
 
-    def objective(x):
-        nonlocal seen
-        seen = (x, _residual(x, y2d, a))
-        return _objective(x, seen[1], lam)
-
-    def step(x):
+    def step(x, resid):
         nonlocal z, t_k
-        # ista steps from the iterate the objective has just seen, so its
-        # residual is reused; fista steps from the momentum point, which the
-        # objective sees only at the start
+        # ista steps from the iterate, whose residual _iterate has formed;
+        # fista steps from the momentum point, the iterate only at the start
         start = x if variant == "ista" else z
-        x_new = _prox_step(start, y2d, a, ah, rcfg.alpha, theta, seen[1] if seen[0] is start else None)
+        x_new = _prox_step(start, y2d, a, ah, rcfg.alpha, theta, resid if start is x else None)
         if variant == "ista":
             return x_new
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
@@ -374,7 +373,7 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
         t_k = t_next
         return x_new
 
-    return _iterate(step, x0, objective, rcfg.sigma, rcfg.max_outer, variant)
+    return _iterate(step, x0, y2d, a, rcfg.lambda1, None, rcfg.sigma, rcfg.max_outer, variant)
 
 
 def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista"):
@@ -565,13 +564,11 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
     bufs = _sweep_buffers(dims, batch_axis)
     gap_trace = None if batch else []
 
-    def step(x):
-        # z = x - alpha * A^H (A x - y)
-        r = forward(a, x)
-        np.subtract(r, y3, out=r)
-        z = adjoint(a, r)
+    def step(x, resid):
+        # z = x + alpha * A^H (y - A x)
+        z = adjoint(a, resid.reshape(y3.shape))
         np.multiply(rcfg.alpha, z, out=z)
-        np.subtract(x, z, out=z)
+        np.add(x, z, out=z)
         x_new = _split_sweep(
             z, x_i, v_i, b_i, bufs, rcfg.alpha, lam1, lam2,
             rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters, batch_axis=batch_axis,
@@ -583,11 +580,9 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
             ))
         return x_new
 
-    def objective(x):
-        return _objective(x, _residual(_columns(x), _columns(y), a), rcfg.lambda1, rcfg.lambda2)
-
     x, report = _iterate(
-        step, np.zeros(dims, dtype=np.complex128), objective, rcfg.sigma, rcfg.max_outer, "sb-tv"
+        step, np.zeros(dims, dtype=np.complex128), _columns(y), a,
+        rcfg.lambda1, rcfg.lambda2, rcfg.sigma, rcfg.max_outer, "sb-tv",
     )
     report.feasibility_gap_trace = gap_trace
     return (x[:, :, 0] if batch else x), report
@@ -706,7 +701,8 @@ class LearnedIstaParams:
 
 
 def _unrolled_infer(y2d, a, params: LearnedIstaParams, tape=None):
-    """The K blocks from x = 0; a list ``tape`` receives each block's iterate before its shrink."""
+    """The K blocks from x = 0, the forward pass that :func:`lista_train`
+    differentiates; a list ``tape`` receives each block's iterate before its shrink."""
     ah = a.conj().T
     x = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
     for alpha, theta in zip(params.alpha, params.theta):
@@ -718,13 +714,13 @@ def _unrolled_infer(y2d, a, params: LearnedIstaParams, tape=None):
 
 
 def lista_infer(y, a, params: LearnedIstaParams):
-    """Run the K unrolled blocks on a fiber (1D) or fiber batch (2D)."""
+    """Run the K unrolled blocks on a fiber (1D) or fiber batch (2D): the
+    "lista" path of :func:`reconstruct_tensor`, without its report."""
     y = np.asarray(y, dtype=np.complex128)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"expected a fiber or an (n_e, fibers) batch, got shape={y.shape}")
     single = y.ndim == 1
-    y2d = y[:, None] if single else y
-    if y2d.ndim != 2 or y2d.shape[0] != a.shape[0]:
-        raise ValueError(f"echo shape {y.shape} does not match matrix rows {a.shape[0]}")
-    x = _unrolled_infer(y2d, a, params)
+    x, _ = reconstruct_tensor(y[:, None] if single else y, a, "lista", lista_params=params)
     return x[:, 0] if single else x
 
 
@@ -846,7 +842,9 @@ def lista_train(a, dataset, k_blocks=9, epochs=200, lr=0.1, seed=0):
         step = lr
         while tape is None and step > 1e-12:
             cand = np.maximum(vec - step * grad, 0.0)
-            loss, tape = forward(cand)
+            # an oversized step may overflow; its inf or NaN loss is rejected below
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, tape = forward(cand)
             if loss <= cur:
                 vec, cur = cand, loss
             else:
@@ -886,9 +884,9 @@ def reconstruct_tensor(y, a, method, cfg: SolverConfig | None = None, lista_para
         ah = a.conj().T
         blocks = zip(lista_params.alpha, lista_params.theta)
 
-        def step(x):
+        def step(x, resid):
             alpha_k, theta_k = next(blocks)
-            return _prox_step(x, y2d, a, ah, alpha_k, theta_k)
+            return _prox_step(x, y2d, a, ah, alpha_k, theta_k, resid)
 
         # data-fit objective only (lambda1 = 0 for each problem): the unrolled
         # blocks carry no single lambda pair; sigma = 0 never stops early,
@@ -896,8 +894,7 @@ def reconstruct_tensor(y, a, method, cfg: SolverConfig | None = None, lista_para
         # report says converged
         lam = np.zeros(y2d.shape[1]) if batch else 0.0
         x0 = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
-        objective = lambda x: _objective(x, _residual(x, y2d, a), lam)
-        x2d, report = _iterate(step, x0, objective, 0.0, lista_params.blocks, "lista")
+        x2d, report = _iterate(step, x0, y2d, a, lam, None, 0.0, lista_params.blocks, "lista")
         report.converged = True
     else:
         raise ConfigurationError(

@@ -22,22 +22,6 @@ import numpy as np
 _AXES = (0, 1, 2)
 
 
-def as_tensor(data):
-    """Validate and return an order-3 complex128 tensor.
-
-    Rejects arrays that are not 3-dimensional, have an empty extent, or
-    contain non-finite entries.
-    """
-    t = np.asarray(data, dtype=np.complex128)
-    if t.ndim != 3:
-        raise ValueError(f"expected an order-3 tensor, got ndim={t.ndim}")
-    if t.size == 0:
-        raise ValueError(f"empty tensor extent: shape={t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("tensor contains non-finite entries")
-    return t
-
-
 def _check3d(t):
     if t.ndim != 3 or t.size == 0:
         raise ValueError(f"expected a nonempty order-3 tensor, got shape={getattr(t, 'shape', None)}")

@@ -533,6 +533,16 @@ class TestTrainLista:
         res = run_cli("train-lista", "--fibers", "0", "--out-params", tmp_path / "p.json")
         assert res.returncode == 2
 
+    def test_rejected_oversized_steps_print_nothing(self, tmp_path):
+        # every candidate step of lr 1e300 overflows the loss and is rejected
+        # without a numpy warning
+        res = run_cli(
+            "train-lista", "--fibers", "20", "--epochs", "3", "--blocks", "2", "--lr", "1e300",
+            "--out-params", tmp_path / "p.json",
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+
 
 _RECONSTRUCT = ["reconstruct", "--echo", "ECHO"]
 _RESOLUTION = ["resolution-test", "--separations", "1.0", "--trials", "2"]

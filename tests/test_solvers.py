@@ -258,6 +258,36 @@ class TestIstaMatrixKernels:
         assert x.tobytes() == ref.tobytes()
 
 
+class TestResidualReuse:
+    """Each iterate's residual Y - A X is formed once, by _iterate, for its
+    objective, and the step reuses it: one more product per iteration, A^H
+    on that residual.  The leading 1 is the start objective."""
+
+    def counting_problem(self, seed):
+        a = build_steering_matrix(small_geometry())
+        r = np.random.default_rng(seed)
+        y = r.standard_normal((a.shape[0], 2, 3)) + 1j * r.standard_normal((a.shape[0], 2, 3))
+        counting = a.view(_CountingMatrix)
+        counting.counter = [0]
+        return a, y, counting
+
+    def test_sb_tv_makes_two_products_per_iteration(self):
+        a, y, counting = self.counting_problem(41)
+        # every knob that resolve_config would derive from a product is given
+        cfg = SolverConfig(alpha=1.0 / spectral_norm_sq(a), lambda1=0.05, lambda2=0.01, sigma=1e-300, max_outer=6)
+        _, report = split_bregman_l1tv(y, counting, cfg)
+        assert report.iterations == 6
+        assert counting.counter[0] == 1 + 2 * 6
+
+    def test_lista_makes_two_products_per_block(self):
+        a, y, counting = self.counting_problem(42)
+        params = LearnedIstaParams.equivalence(5, 0.9 / spectral_norm_sq(a), 0.1)
+        x, report = reconstruct_tensor(y, counting, "lista", lista_params=params)
+        assert report.iterations == 5
+        assert counting.counter[0] == 1 + 2 * 5
+        assert x.tobytes() == _unrolled_infer(y.reshape(a.shape[0], -1), a, params).tobytes()
+
+
 class TestIstaFiber:
     def test_zero_echo_gives_zero(self):
         a = build_steering_matrix(small_geometry())
@@ -435,21 +465,24 @@ class TestObjective:
             assert got[j] == pytest.approx(solo, rel=1e-14)
 
     def test_volume_is_a_batch_of_one(self):
-        # a scalar objective poses one problem: one stop, one count, and the
-        # iterate the last step returned
+        # a scalar lambda1 poses one problem: one stop, one count, and the
+        # iterate the last step returned; with a = I and y = 0 the objective
+        # 1/2 ||X||^2 falls as the iterate halves
         x0 = np.ones((4, 3, 2), dtype=complex)
-        halve = lambda x: 0.5 * x
-        x, report = _iterate(halve, x0, lambda x: np.array([float(np.sum(np.abs(x)))]), 0.3, 10, "test")
+        halve = lambda x, resid: 0.5 * x
+        x, report = _iterate(halve, x0, np.zeros((4, 6)), np.eye(4), 0.0, 0.0, 0.3, 10, "test")
         assert report.column_iterations == [report.iterations] == [10]
         assert not report.converged
         assert np.array_equal(x, x0 * 0.5 ** 10)
 
     def test_stopped_columns_keep_their_value(self):
-        # column j moves toward 1 at rate rates[j]; each stops on its own
+        # column j moves toward 1 at rate rates[j]; each stops on its own.
+        # One lambda1 per column poses three problems; with a = I and y = 1
+        # each objective 1/2 ||1 - x_j||^2 falls as its column moves
         rates = np.array([0.0, 0.5, 0.8])
-        step = lambda x: 1.0 + rates * (x - 1.0)
-        objective = lambda x: np.sum(np.abs(x - 1.0), axis=0)
-        x, report = _iterate(step, np.zeros((4, 3), dtype=complex), objective, 1e-6, 200, "test")
+        step = lambda x, resid: 1.0 + rates * (x - 1.0)
+        x, report = _iterate(step, np.zeros((4, 3), dtype=complex), np.ones((4, 3)), np.eye(4),
+                             np.zeros(3), np.zeros(3), 1e-6, 200, "test")
         its = report.column_iterations
         assert its[0] == 2 and its[0] < its[1] < its[2] == report.iterations
         assert report.converged
@@ -708,6 +741,12 @@ class TestLearnedIsta:
         a = build_steering_matrix(small_geometry())
         params = LearnedIstaParams.equivalence(5, 0.01, 0.3)
         assert np.all(lista_infer(np.zeros(a.shape[0]), a, params) == 0)
+
+    @pytest.mark.parametrize("shape", [(), (6, 2, 2)], ids=["scalar", "volume"])
+    def test_rejects_other_orders(self, shape):
+        a = build_steering_matrix(small_geometry())
+        with pytest.raises(ValueError, match="expected a fiber or an"):
+            lista_infer(np.ones(shape, dtype=complex), a, LearnedIstaParams.equivalence(2, 0.01, 0.3))
 
     def test_batch_matches_single(self):
         a = build_steering_matrix(small_geometry())

@@ -17,29 +17,6 @@ def random_tensor(dims, seed=0):
     return r.standard_normal(dims) + 1j * r.standard_normal(dims)
 
 
-class TestAsTensor:
-    def test_promotes_to_complex128(self):
-        t = tensor.as_tensor(np.ones((2, 3, 4), dtype=np.float32))
-        assert t.dtype == np.complex128
-        assert t.shape == (2, 3, 4)
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError):
-            tensor.as_tensor(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            tensor.as_tensor(np.ones((2, 3, 4, 5)))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            tensor.as_tensor(np.empty((0, 3, 4)))
-
-    def test_rejects_nonfinite(self):
-        t = np.ones((2, 2, 2))
-        t[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            tensor.as_tensor(t)
-
-
 class TestFoldUnfold:
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("dims", [(2, 3, 4), (5, 1, 3), (1, 1, 1), (4, 4, 4)])
