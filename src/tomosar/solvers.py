@@ -36,6 +36,9 @@ class SolverConfig:
     the adjoint image of the data; lambda2 = 0.01 * lambda1; mu = 1;
     tau1 = 1 / (1/alpha + 8 mu) (safe step for the inner quadratic, since
     each difference operator has squared norm <= 4); tau2 = 1 / mu.
+    ``inner_iters`` counts the u-descent steps of each split-Bregman axis
+    update; the TV split variable takes one exact shrink when
+    tau2 * mu = 1 and ``inner_iters`` shrinkage steps otherwise.
     """
 
     alpha: float | None = None
@@ -464,11 +467,15 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
 
     For each tensor axis: ``inner_iters`` proximal-descent steps on
     1/(2 alpha) ||u - p0||^2 + mu/2 ||D u - v + b||^2 + lambda1 ||u||_1
-    (lambda1 = 0 skips the shrink), ``inner_iters`` shrinkage steps on the
-    TV split variable v, and the Bregman update of b.  The arrays of the
-    per-axis lists ``u_i``, ``v_i``, ``b_i`` are updated in place, and
-    ``bufs`` (from :func:`_sweep_buffers`) holds every intermediate; the
-    result, a new array, is the average of the three per-axis iterates.
+    (lambda1 = 0 skips the shrink), each u <- c0 u - c1 D^T D u + tau1 p
+    with c0 = 1 - tau1 / alpha, c1 = tau1 mu and p = p0 / alpha + mu D^T
+    (v - b); then one exact shrink of the TV split variable, v = shrink(D u
+    + b, lambda2 / mu), the minimiser of its subproblem, when tau2 mu = 1,
+    and ``inner_iters`` shrinkage steps of step tau2 otherwise; then the
+    Bregman update of b.  The arrays of the per-axis lists ``u_i``,
+    ``v_i``, ``b_i`` are updated in place, and ``bufs`` (from
+    :func:`_sweep_buffers`) holds every intermediate; the result, a new
+    array, is the average of the three per-axis iterates.
 
     The three updates are independent, and each is local along its own
     axis, so each runs slab by slab; one ``run_indexed`` call gives worker
@@ -480,7 +487,9 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
     lambda2 may be arrays that broadcast one value per fiber.
     """
     anchor, _, slabs = bufs
-    np.divide(p0, alpha, out=anchor)
+    # tau1 * p0 / alpha; with c1 = tau1 * mu below, p holds tau1 * p
+    np.multiply(p0, tau1 / alpha, out=anchor)
+    c0, c1 = 1.0 - tau1 / alpha, tau1 * mu
     s = tau2 * mu
     th1, th2 = lambda1 * tau1, lambda2 * tau2
     shrink_u = np.any(lambda1)
@@ -488,29 +497,31 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
     def update(ax, index, p, d, h, du, work):
         u, w, b = u_i[ax][index], v_i[ax][index], b_i[ax][index]
         diff, diff_adjoint = (_no_diff, _no_diff) if ax == batch_axis else (tensor.diff, tensor.diff_adjoint)
-        # p = p0 / alpha + mu * D^T (v - b)
+        # p = tau1 * (p0 / alpha + mu * D^T (v - b))
         diff_adjoint(np.subtract(w, b, out=d), ax, out=p)
-        np.multiply(mu, p, out=p)
+        np.multiply(c1, p, out=p)
         np.add(anchor[index], p, out=p)
         for _ in range(inner_iters):
-            # u = u - tau1 * (u / alpha + mu * D^T D u - p)
+            # u = u - tau1 * (u / alpha + mu * D^T D u - p) = c0 * u - c1 * D^T D u + tau1 * p
             diff_adjoint(diff(u, ax, out=d), ax, out=h)
-            np.multiply(mu, h, out=h)
-            np.divide(u, alpha, out=d)
-            np.add(d, h, out=d)
-            np.subtract(d, p, out=d)
-            np.multiply(tau1, d, out=d)
-            np.subtract(u, d, out=u)
+            np.multiply(c1, h, out=h)
+            np.multiply(c0, u, out=u)
+            np.subtract(u, h, out=u)
+            np.add(u, p, out=u)
             if shrink_u:
                 soft_threshold(u, th1, out=u, work=work)
         diff(u, ax, out=du)
-        for _ in range(inner_iters):
-            # w = shrink(w - tau2 * mu * (w - du - b))
-            np.subtract(w, du, out=d)
-            np.subtract(d, b, out=d)
-            np.multiply(s, d, out=d)
-            np.subtract(w, d, out=w)
-            soft_threshold(w, th2, out=w, work=work)
+        if s == 1.0:
+            # the exact minimiser of the v-subproblem, whatever w is
+            soft_threshold(np.add(du, b, out=w), th2, out=w, work=work)
+        else:
+            for _ in range(inner_iters):
+                # w = shrink(w - tau2 * mu * (w - du - b))
+                np.subtract(w, du, out=d)
+                np.subtract(d, b, out=d)
+                np.multiply(s, d, out=d)
+                np.subtract(w, d, out=w)
+                soft_threshold(w, th2, out=w, work=work)
         # b = b + du - w
         np.add(b, du, out=b)
         np.subtract(b, w, out=b)
@@ -537,12 +548,12 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
 
     Each outer iteration takes a gradient step on the data term, then runs
     one :func:`_split_sweep` from it: per tensor axis, ``inner_iters``
-    proximal-descent steps on the l1-regularized quadratic, ``inner_iters``
-    shrinkage steps on the TV split variable and a dual update, then the
-    average of the three per-axis iterates is the consensus tensor.  Stops
-    when the consensus relative change drops below sigma.  The difference
-    operators are applied operator-wise; no dense matrix is ever
-    materialized.
+    proximal-descent steps on the l1-regularized quadratic, one exact
+    shrink of the TV split variable when tau2 * mu = 1 (``inner_iters``
+    shrinkage steps otherwise) and a dual update, then the average of the
+    three per-axis iterates is the consensus tensor.  Stops when the
+    consensus relative change drops below sigma.  The difference operators
+    are applied operator-wise; no dense matrix is ever materialized.
 
     Raises DivergenceError (carrying the trace) if the objective is
     non-finite or exceeds ten times its initial value.
@@ -595,7 +606,9 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0):
     anchor (alpha = 1) and no l1 term.
 
     lambda2 = 0 (or an already TV-free input) returns the input unchanged.
-    ``inner_iters`` controls the sub-problem steps per pass.
+    ``inner_iters`` counts the u-descent steps per pass; the TV split
+    variable takes one exact shrink per pass when tau2 * mu = 1, as at the
+    default mu = 1, and ``inner_iters`` shrinkage steps otherwise.
 
     A 2-D ``x`` is an (n_z, m) batch of fibers, one per column, each
     denoised along its length as its solo call on ``x[:, j].reshape(-1, 1,

@@ -538,6 +538,28 @@ class TestSplitBregman:
             )
             assert np.max(np.abs(x - x_ref)) < 1e-8
 
+    def test_matches_dense_reference_off_the_exact_shrink(self):
+        # tau2 * mu != 1 keeps inner_iters shrinkage steps on the TV split
+        # variable; the default tau2 = 1 / mu takes its exact minimiser
+        g = small_geometry(n_e=6, n_z=8)
+        a = build_steering_matrix(g)
+        dims = (8, 4, 4)
+        r = np.random.default_rng(13)
+        y = r.standard_normal((6, 4, 4)) + 1j * r.standard_normal((6, 4, 4))
+        alpha = 1.8 / spectral_norm_sq(a)
+        mu = 1.0
+        params = dict(alpha=alpha, lam1=0.2, lam2=0.05, mu=mu, tau1=1.0 / (1.0 / alpha + 8.0 * mu), tau2=0.5 / mu)
+        for n_outer in (1, 3, 10):
+            cfg = SolverConfig(
+                alpha=params["alpha"], lambda1=params["lam1"], lambda2=params["lam2"],
+                mu=params["mu"], tau1=params["tau1"], tau2=params["tau2"],
+                sigma=1e-15, max_outer=n_outer,
+            )
+            x, report = split_bregman_l1tv(y, a, cfg)
+            assert report.iterations == n_outer
+            x_ref = reference.split_bregman_dense(y, a, dims, *params.values(), n_outer)
+            assert np.max(np.abs(x - x_ref)) < 1e-8
+
     def test_divergence_raises_with_trace(self):
         g = small_geometry()
         a = build_steering_matrix(g)

@@ -102,10 +102,11 @@ def test_slab_worker_spans_are_counted(tracer, tmp_path, monkeypatch):
         counts[threads] = {name: tot[name]["calls"]
                            for name in ("tensor.diff", "tensor.diff_adjoint", "solvers.soft_threshold")}
     # per sweep and slab, each of the three axes calls diff and diff_adjoint
-    # inner_iters + 1 times and shrinks 2 * inner_iters times (lambda1 > 0)
+    # inner_iters + 1 times and shrinks inner_iters + 1 times: once per
+    # u-step (lambda1 > 0) and once for the TV split variable (tau2 * mu = 1)
     inner = solvers.SolverConfig().inner_iters
     per_slab = {"tensor.diff": 3 * (inner + 1), "tensor.diff_adjoint": 3 * (inner + 1),
-                "solvers.soft_threshold": 3 * 2 * inner}
+                "solvers.soft_threshold": 3 * (inner + 1)}
     for name, calls in per_slab.items():
         assert counts["2"][name] == counts["1"][name] + 3 * calls, name
     assert (tmp_path / "bundle-1" / "recon.tsr3").read_bytes() == (tmp_path / "bundle-2" / "recon.tsr3").read_bytes()
