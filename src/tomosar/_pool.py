@@ -2,16 +2,39 @@
 
 Work units are fixed before scheduling and results are collected by index,
 so outputs never depend on the worker count.  TOMOSAR_THREADS caps the pool
-(0 or unset means auto), the calling thread included.
+(0 or unset means auto), the calling thread included.  The helper threads
+are started on first need and then stay alive, waiting for work, for the
+life of the process.
 """
 
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 
 from .errors import ConfigurationError
 
 ENV_THREADS = "TOMOSAR_THREADS"
+
+# (future, fn) pairs that wait for a helper.  Building a thread pool per call
+# cost 0.25 ms, which a solver that fans out every phase of every iteration
+# would pay thousands of times; a waiting helper takes work in microseconds.
+_tasks = queue.SimpleQueue()
+_helpers = []
+_helpers_lock = threading.Lock()
+
+
+def _serve():
+    """A helper thread's loop: run each task that was not cancelled first."""
+    while True:
+        future, fn = _tasks.get()
+        if future.set_running_or_notify_cancel():
+            try:
+                future.set_result(fn())
+            except BaseException as exc:  # raised again in the caller by future.result()
+                future.set_exception(exc)
+        # the task holds the call's work arrays: drop it before waiting
+        del future, fn
 
 
 def worker_count(requested=None):
@@ -34,10 +57,14 @@ def worker_count(requested=None):
 def run_indexed(fn, items, workers=None):
     """Apply ``fn`` to each item, preserving input order in the result list.
 
-    The calling thread and ``min(workers, len(items)) - 1`` pool threads
+    The calling thread and ``min(workers, len(items)) - 1`` helper threads
     each take the next item not yet taken until none is left, so a pool of
-    n workers starts n - 1 threads.  Every item runs; if calls raise, the
-    exception of the first such item in input order is raised.
+    n workers runs on n threads.  Helpers outlive the call and serve later
+    ones.  A helper that has not started by the time the calling thread
+    finds no item left is cancelled rather than awaited, so a call made
+    from inside an item of another call finishes even when every helper is
+    busy.  Every item runs; if calls raise, the exception of the first such
+    item in input order is raised.
     """
     items = list(items)
     n = min(worker_count(workers), len(items))
@@ -58,11 +85,18 @@ def run_indexed(fn, items, workers=None):
             except Exception as exc:  # raised below, in input order
                 outcomes[i] = (None, exc)
 
-    with ThreadPoolExecutor(max_workers=n - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(n - 1)]
-        drain()
-        for helper in helpers:
-            helper.result()
+    with _helpers_lock:
+        while len(_helpers) < n - 1:
+            helper = threading.Thread(target=_serve, name=f"tomosar-pool-{len(_helpers)}", daemon=True)
+            helper.start()
+            _helpers.append(helper)
+    helpers = [Future() for _ in range(n - 1)]
+    for future in helpers:
+        _tasks.put((future, drain))
+    drain()
+    for future in helpers:
+        if not future.cancel():
+            future.result()
     for _, exc in outcomes:
         if exc is not None:
             raise exc

@@ -13,6 +13,7 @@ where A acts fiber-wise through the steering matrix and TV is the
 anisotropic 3D total variation of :func:`tomosar.tensor.tv_norm`.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -38,7 +39,8 @@ class SolverConfig:
     each difference operator has squared norm <= 4); tau2 = 1 / mu.
     ``inner_iters`` counts the u-descent steps of each split-Bregman axis
     update; the TV split variable takes one exact shrink when
-    tau2 * mu = 1 and ``inner_iters`` shrinkage steps otherwise.
+    tau2 * mu = 1 or tau2 = 1 / mu and ``inner_iters`` shrinkage steps
+    otherwise.
     """
 
     alpha: float | None = None
@@ -190,12 +192,20 @@ def soft_threshold(z, theta, out=None, work=None):
     return res
 
 
-def _column_rel_change(x_new, x_old):
-    """||x_new - x_old||^2 / ||x_new||^2 of each column of 2-D arrays, 0 for no change."""
-    num = (np.abs(x_new - x_old) ** 2).sum(axis=0)
-    den = (np.abs(x_new) ** 2).sum(axis=0)
+def _column_sums(t, k):
+    """The sum of each column of ``t.reshape(-1, k)``."""
+    return t.reshape(-1, k).sum(axis=0)
+
+
+def _rel_change(num, den):
+    """num / den, the relative change from its two sums, 0 for no change."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(num == 0.0, 0.0, num / den)
+
+
+def _column_rel_change(x_new, x_old):
+    """||x_new - x_old||^2 / ||x_new||^2 of each column of 2-D arrays, 0 for no change."""
+    return _rel_change((np.abs(x_new - x_old) ** 2).sum(axis=0), (np.abs(x_new) ** 2).sum(axis=0))
 
 
 def _columns(t):
@@ -203,7 +213,7 @@ def _columns(t):
     return t.reshape(t.shape[0], -1)
 
 
-def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver):
+def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver, measure=None):
     """The outer loop shared by every iterative solver.
 
     Applies ``x = step(x, resid)`` from the given start.  ``resid``, the
@@ -223,10 +233,22 @@ def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver):
     traces per iteration the objective summed over the problems (also
     carried by a DivergenceError) and the largest relative change among
     those still running.
+
+    ``measure(x_new, x)`` returns what the loop reads of the step just
+    taken from ``x`` to ``x_new``: the relative change of each problem (as
+    :func:`_column_rel_change`), the residual of ``x_new`` and its
+    objective.  By default it computes them from the two iterates.  Past
+    ``measure`` the loop never reads the old iterate, so a step may reuse
+    its array.
     """
     resid = _residual(_columns(x), y2d, a)
     obj0 = _objective(x, resid, lambda1, lambda2)
     k = obj0.size
+    if measure is None:
+        def measure(x_new, x):
+            rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
+            resid = _residual(_columns(x_new), y2d, a)
+            return rel, resid, _objective(x_new, resid, lambda1, lambda2)
     # ten times a positive start objective, else the largest float, so that
     # a comparison with the limit also fails for inf and NaN
     big = np.finfo(np.float64).max
@@ -244,10 +266,8 @@ def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver):
         x_new = step(x, resid)
         # released before the next residual is formed: one alive at a time
         resid = None
-        rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
+        rel, resid, obj = measure(x_new, x)
         x = x_new
-        resid = _residual(_columns(x), y2d, a)
-        obj = _objective(x, resid, lambda1, lambda2)
         obj_trace.append(float(obj.sum()))
         # stopped problems are still stepped but no longer traced, guarded or stopped
         run = slice(None) if frozen is None else active
@@ -330,8 +350,8 @@ def _objective(x, resid, lambda1, lambda2=None):
     TV runs along axis 0 alone.  ``lambda2`` None drops the TV term.
     """
     k = np.asarray(lambda1).size
-    value = 0.5 * (np.abs(resid.reshape(-1, k)) ** 2).sum(axis=0)
-    value += lambda1 * np.abs(x.reshape(-1, k)).sum(axis=0)
+    value = 0.5 * _column_sums(np.abs(resid) ** 2, k)
+    value += lambda1 * _column_sums(np.abs(x), k)
     if lambda2 is not None:
         x3 = x if x.ndim == 3 else x[:, :, None]
         buf = np.empty(x3.shape, dtype=x3.dtype)
@@ -339,6 +359,44 @@ def _objective(x, resid, lambda1, lambda2=None):
                  for ax in (range(3) if k == 1 else [0]))
         value += lambda2 * tv
     return value
+
+
+# A volume of fewer voxels sweeps as one slab, and an ista/fista iterate of
+# fewer entries iterates as one block: below it, handing work to threads
+# costs more than a second worker saves.  On a 2-core host one sweep of
+# 64x16x32 (2^15) voxels took 9-11 ms on one worker and 8-11 ms on two, of
+# 64x24x32 (3 * 2^14) 15-16 ms against 11-14 ms.
+SLAB_MIN_VOXELS = 3 << 14
+# The ufunc buffer size, in entries, of the work that runs on worker threads.
+_WORKER_BUFSIZE = 1024
+
+
+def _in_small_buffers(fn, item):
+    """fn(item) with ufunc buffers of ``_WORKER_BUFSIZE`` entries."""
+    # the shrink's complex-by-real product casts through a ufunc buffer, and
+    # a ufunc on column blocks of a 2-D array buffers every operand; at the
+    # default 8192 entries (128 KiB each) each worker thread's malloc arena
+    # keeps them resident, so work in smaller pieces
+    bufsize = np.setbufsize(_WORKER_BUFSIZE)
+    try:
+        return fn(item)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def _fan(fn, blocks):
+    """fn on every block: one block on the caller's thread, more one per worker."""
+    if len(blocks) == 1:
+        fn(blocks[0])
+    else:
+        run_indexed(functools.partial(_in_small_buffers, fn), blocks, workers=len(blocks))
+
+
+def _cuts(size, n, unit):
+    """n contiguous slices that cover range(size), cut on multiples of ``unit``
+    (n <= size // unit, or n = 1)."""
+    bounds = [j * size // (n * unit) * unit for j in range(n)] + [size]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
@@ -350,33 +408,110 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
     matches its solo solve.  With a scalar lambda1 the columns form one
     problem, with one stop on its whole relative change.  The objective
     has no TV term.
+
+    Each iteration runs on blocks of the iterate.  The gradient step, the
+    shrink, fista's momentum and the per-entry terms of the relative change
+    and the objective go by row blocks; the products A X and the per-entry
+    residual terms go by column blocks.  The caller's thread then sums the
+    per-entry terms of the whole iterate as :func:`_column_rel_change` and
+    :func:`_objective` do.  A single problem of at least ``SLAB_MIN_VOXELS``
+    entries has one block per worker (``worker_count()``), its rows cut on
+    multiples of 8 and its columns on multiples of 64, where each entry of
+    a block's product has the bits of the whole product; a fiber batch, a
+    smaller problem or a single worker is one block on the caller's thread.
+    So no byte depends on the worker count.
     """
     if variant not in ("ista", "fista"):
         raise ConfigurationError(f"unknown variant {variant!r}")
+    fista = variant == "fista"
     ah = a.conj().T
-    theta = rcfg.alpha * rcfg.lambda1
-    x0 = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
-    # fista's extrapolated point (the start until the first step) and momentum
-    z, t_k = x0, 1.0
+    alpha, lam = rcfg.alpha, rcfg.lambda1
+    theta = alpha * lam
+    k = np.size(lam)
+    (n_e, n_z), m = a.shape, y2d.shape[1]
+    n = 1 if k > 1 or n_z * m < SLAB_MIN_VOXELS else max(1, min(worker_count(), n_z // 8, m // 64))
+    # the work arrays of the solve, allocated once on the caller's thread
+    x0 = np.zeros((n_z, m), dtype=np.complex128)
+    nxt = np.empty_like(x0)
+    z = np.empty_like(x0) if fista else None
+    r = np.empty((n_e, m), dtype=np.complex128)
+    rz = np.empty_like(r) if fista else None
+    r2 = np.empty((n_e, m))
+    dx2, mag, mag2 = np.empty((3, n_z, m))
+    work = np.empty(2 * n_z * m)
+    blocks = [(rows, cols, work[2 * m * rows.start:2 * m * rows.stop])
+              for rows, cols in zip(_cuts(n_z, n, 8), _cuts(m, n, 64))]
+    # what the block kernels of the current iteration read: the point the
+    # step starts from with its residual, the iterate and the array that
+    # receives the next one; and fista's t_k and momentum coefficient
+    start = resid_start = x_old = x_new = None
+    t_k, momentum = 1.0, 0.0
+
+    def momentum_residual(block):
+        cols = block[1]
+        # rz = y - A z
+        np.matmul(a, z[:, cols], out=rz[:, cols])
+        np.subtract(y2d[:, cols], rz[:, cols], out=rz[:, cols])
+
+    def descend(block):
+        rows, _, wk = block
+        xn, dx = x_new[rows], x_old[rows]
+        # x_new = shrink(start + alpha A^H (y - A start)), shrunk in place
+        np.matmul(ah[rows], resid_start, out=xn)
+        np.multiply(alpha, xn, out=xn)
+        np.add(start[rows], xn, out=xn)
+        soft_threshold(xn, theta, out=xn, work=wk)
+        # the old iterate is read no more: its rows take x_new - x; then
+        # |x_new - x|^2, |x_new| and |x_new|^2
+        np.subtract(xn, dx, out=dx)
+        np.abs(dx, out=dx2[rows])
+        np.square(dx2[rows], out=dx2[rows])
+        np.abs(xn, out=mag[rows])
+        np.square(mag[rows], out=mag2[rows])
+        if fista:
+            # z = x_new + (t_k - 1) / t_{k+1} (x_new - x)
+            np.multiply(momentum, dx, out=dx)
+            np.add(xn, dx, out=z[rows])
+
+    def data_fit(block):
+        cols = block[1]
+        # r = y - A x_new and |r|^2
+        rb = r[:, cols]
+        np.matmul(a, x_new[:, cols], out=rb)
+        np.subtract(y2d[:, cols], rb, out=rb)
+        np.abs(rb, out=r2[:, cols])
+        np.square(r2[:, cols], out=r2[:, cols])
 
     def step(x, resid):
-        nonlocal z, t_k
+        nonlocal start, resid_start, x_old, x_new, nxt, t_k, momentum
         # ista steps from the iterate, whose residual _iterate has formed;
-        # fista steps from the momentum point, the iterate only at the start
-        start = x if variant == "ista" else z
-        x_new = _prox_step(start, y2d, a, ah, rcfg.alpha, theta, resid if start is x else None)
-        if variant == "ista":
-            return x_new
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
-        # z is rewritten in place once it no longer is the start, which
-        # _iterate still holds as x
-        z = np.subtract(x_new, x, out=None if z is x0 else z)
-        np.multiply((t_k - 1.0) / t_next, z, out=z)
-        np.add(x_new, z, out=z)
-        t_k = t_next
+        # fista steps from the momentum point, the iterate only at the first
+        # step, the one with t_k = 1
+        if fista and t_k > 1.0:
+            _fan(momentum_residual, blocks)
+            start, resid_start = z, rz
+        else:
+            start, resid_start = x, resid
+        if fista:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
+            momentum = (t_k - 1.0) / t_next
+            t_k = t_next
+        x_old, x_new = x, nxt
+        _fan(descend, blocks)
+        # the old iterate's array, spent, receives the next step
+        nxt = x
         return x_new
 
-    return _iterate(step, x0, y2d, a, rcfg.lambda1, None, rcfg.sigma, rcfg.max_outer, variant)
+    def measure(*_):
+        # the step has left the per-entry terms of the relative change and
+        # of the l1 norm; these are the sums of _column_rel_change and
+        # _objective, in their order
+        _fan(data_fit, blocks)
+        obj = 0.5 * _column_sums(r2, k)
+        obj += lam * _column_sums(mag, k)
+        return _rel_change(_column_sums(dx2, k), _column_sums(mag2, k)), r, obj
+
+    return _iterate(step, x0, y2d, a, lam, None, rcfg.sigma, rcfg.max_outer, variant, measure)
 
 
 def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista"):
@@ -400,15 +535,8 @@ def objective_eval(x, y, a, lambda1, lambda2):
     return float(_objective(x, np.subtract(y, resid, out=resid), lambda1, lambda2)[0])
 
 
-# A volume of fewer voxels sweeps as one slab: below it, handing slabs to
-# threads costs more than a second worker saves.  On a 2-core host one
-# sweep of 64x16x32 (2^15) voxels took 9-11 ms on one worker and 8-11 ms on
-# two, of 64x24x32 (3 * 2^14) 15-16 ms against 11-14 ms.
-SLAB_MIN_VOXELS = 3 << 14
 # The axis along which the update of each tensor axis is cut into slabs.
 _SLAB_CUT = (1, 0, 0)
-# The ufunc buffer size, in entries, of a sweep's slab workers.
-_SWEEP_BUFSIZE = 1024
 
 
 def _sweep_buffers(dims, batch_axis=None):
@@ -470,10 +598,10 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
     (lambda1 = 0 skips the shrink), each u <- c0 u - c1 D^T D u + tau1 p
     with c0 = 1 - tau1 / alpha, c1 = tau1 mu and p = p0 / alpha + mu D^T
     (v - b); then one exact shrink of the TV split variable, v = shrink(D u
-    + b, lambda2 / mu), the minimiser of its subproblem, when tau2 mu = 1,
-    and ``inner_iters`` shrinkage steps of step tau2 otherwise; then the
-    Bregman update of b.  The arrays of the per-axis lists ``u_i``,
-    ``v_i``, ``b_i`` are updated in place, and ``bufs`` (from
+    + b, lambda2 / mu), the minimiser of its subproblem, when tau2 mu = 1
+    or tau2 = 1 / mu, and ``inner_iters`` shrinkage steps of step tau2
+    otherwise; then the Bregman update of b.  The arrays of the per-axis
+    lists ``u_i``, ``v_i``, ``b_i`` are updated in place, and ``bufs`` (from
     :func:`_sweep_buffers`) holds every intermediate; the result, a new
     array, is the average of the three per-axis iterates.
 
@@ -491,6 +619,8 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
     np.multiply(p0, tau1 / alpha, out=anchor)
     c0, c1 = 1.0 - tau1 / alpha, tau1 * mu
     s = tau2 * mu
+    # the default tau2 = 1 / mu leaves s one rounding below 1 at some mu (49)
+    exact = s == 1.0 or tau2 == 1.0 / mu
     th1, th2 = lambda1 * tau1, lambda2 * tau2
     shrink_u = np.any(lambda1)
 
@@ -511,7 +641,7 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
             if shrink_u:
                 soft_threshold(u, th1, out=u, work=work)
         diff(u, ax, out=du)
-        if s == 1.0:
+        if exact:
             # the exact minimiser of the v-subproblem, whatever w is
             soft_threshold(np.add(du, b, out=w), th2, out=w, work=work)
         else:
@@ -527,17 +657,10 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
         np.subtract(b, w, out=b)
 
     def sweep(slab):
-        # the shrink's complex-by-real product casts through a ufunc buffer;
-        # at the default 8192 entries (128 KiB) each worker thread's malloc
-        # arena keeps one resident, so cast in smaller pieces
-        bufsize = np.setbufsize(_SWEEP_BUFSIZE)
-        try:
-            for ax, work in enumerate(slab):
-                update(ax, *work)
-        finally:
-            np.setbufsize(bufsize)
+        for ax, work in enumerate(slab):
+            update(ax, *work)
 
-    run_indexed(sweep, slabs, workers=len(slabs))
+    run_indexed(functools.partial(_in_small_buffers, sweep), slabs, workers=len(slabs))
     x = np.add(u_i[0], u_i[1])
     np.add(x, u_i[2], out=x)
     return np.divide(x, 3.0, out=x)
@@ -549,11 +672,12 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
     Each outer iteration takes a gradient step on the data term, then runs
     one :func:`_split_sweep` from it: per tensor axis, ``inner_iters``
     proximal-descent steps on the l1-regularized quadratic, one exact
-    shrink of the TV split variable when tau2 * mu = 1 (``inner_iters``
-    shrinkage steps otherwise) and a dual update, then the average of the
-    three per-axis iterates is the consensus tensor.  Stops when the
-    consensus relative change drops below sigma.  The difference operators
-    are applied operator-wise; no dense matrix is ever materialized.
+    shrink of the TV split variable when tau2 * mu = 1 or tau2 = 1 / mu
+    (``inner_iters`` shrinkage steps otherwise) and a dual update, then the
+    average of the three per-axis iterates is the consensus tensor.  Stops
+    when the consensus relative change drops below sigma.  The difference
+    operators are applied operator-wise; no dense matrix is ever
+    materialized.
 
     Raises DivergenceError (carrying the trace) if the objective is
     non-finite or exceeds ten times its initial value.
@@ -607,8 +731,7 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0):
 
     lambda2 = 0 (or an already TV-free input) returns the input unchanged.
     ``inner_iters`` counts the u-descent steps per pass; the TV split
-    variable takes one exact shrink per pass when tau2 * mu = 1, as at the
-    default mu = 1, and ``inner_iters`` shrinkage steps otherwise.
+    variable, with tau2 = 1 / mu, takes one exact shrink per pass.
 
     A 2-D ``x`` is an (n_z, m) batch of fibers, one per column, each
     denoised along its length as its solo call on ``x[:, j].reshape(-1, 1,
@@ -636,8 +759,12 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0):
     b_i = [np.zeros_like(p0) for _ in range(3)]
     batch_axis = 1 if batch else None
     bufs = _sweep_buffers(p0.shape, batch_axis)
-    for _ in range(10):
-        out = _split_sweep(p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters, batch_axis=batch_axis)
+    sweep = functools.partial(_split_sweep, p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters,
+                              batch_axis=batch_axis)
+    # only the last pass's consensus is kept, so one is alive at a time
+    for _ in range(9):
+        sweep()
+    out = sweep()
     if not batch:
         return out
     res = x.copy()

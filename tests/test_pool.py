@@ -2,9 +2,12 @@
 
 import sys
 import threading
+import time
+import weakref
 
 import pytest
 
+from tomosar import _pool
 from tomosar._pool import run_indexed
 
 
@@ -49,15 +52,76 @@ def test_first_failure_in_input_order_is_raised_after_every_item_ran(workers):
     assert sorted(ran) == (list(range(10)) if workers > 1 else [0, 1, 2, 3])
 
 
+def _idents(calls):
+    """The idents of the threads that ran items of each call: 8 items of 10
+    ms each on 2 workers, so both take part."""
+    seen = [set() for _ in range(calls)]
+    for call in seen:
+
+        def work(i, call=call):
+            call.add(threading.get_ident())
+            threading.Event().wait(0.01)
+            return i
+
+        assert run_indexed(work, range(8), workers=2) == list(range(8))
+    return seen
+
+
 def test_caller_takes_part():
-    # n workers start n - 1 threads: the calling thread runs items too
-    seen = set()
-
-    def work(i):
-        seen.add(threading.get_ident())
-        threading.Event().wait(0.01)
-        return i
-
-    assert run_indexed(work, range(8), workers=2) == list(range(8))
+    # n workers use n - 1 helper threads: the calling thread runs items too,
+    # also after a call that used more helpers
+    assert run_indexed(lambda i: threading.Event().wait(0.01), range(8), workers=4) == [False] * 8
+    (seen,) = _idents(1)
     assert threading.get_ident() in seen
     assert len(seen) == 2
+
+
+def test_helpers_stay_alive_between_calls():
+    first, second = _idents(2)
+    before = {t.ident for t in threading.enumerate()}
+    (third,) = _idents(1)
+    assert len(first) == len(second) == len(third) == 2
+    # the third call started no thread
+    assert third <= before
+
+
+def test_call_inside_an_item_finishes_when_every_helper_is_busy():
+    # every helper alive, and the calling thread, take one outer item and
+    # wait until all have started; then each makes an inner call, whose
+    # helper tasks find no idle helper and are cancelled once its caller
+    # has run the inner items itself
+    workers = max(len(_pool._helpers), 1) + 1
+    started = threading.Barrier(workers)
+
+    def outer(i):
+        started.wait(timeout=30)
+        return sum(run_indexed(lambda j: i * j, range(20), workers=workers))
+
+    done = []
+    runner = threading.Thread(
+        target=lambda: done.append(run_indexed(outer, range(workers), workers=workers)), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert done == [[190 * i for i in range(workers)]]
+
+
+def test_helpers_keep_no_reference_to_a_finished_call():
+    # an idle helper must not keep a call's work, and the arrays it holds,
+    # alive until its next task
+
+    class Work:
+        def __call__(self, i):
+            threading.Event().wait(0.01)
+            return i
+
+    work = Work()
+    alive = weakref.ref(work)
+    assert run_indexed(work, range(8), workers=2) == list(range(8))
+    del work
+    # a helper drops its task right after handing back the result
+    deadline = time.monotonic() + 5
+    while alive() is not None and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert alive() is None

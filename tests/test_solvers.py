@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tomosar import solvers
 from tomosar.errors import ConfigurationError, DivergenceError
 from tomosar.sensing import (
     SystemGeometry,
@@ -20,6 +21,7 @@ from tomosar.solvers import (
     SLAB_MIN_VOXELS,
     LearnedIstaParams,
     SolverConfig,
+    _column_rel_change,
     _ista_matrix,
     _iterate,
     _lista_gradient,
@@ -236,7 +238,6 @@ class TestIstaMatrixKernels:
     @pytest.mark.parametrize("per_column", [False, True], ids=["scalar", "per-column"])
     def test_matches_allocating_iteration(self, variant, per_column):
         a, y2d, rcfg = self.problem()
-        ah = a.conj().T
         alpha = rcfg.alpha
         if per_column:
             # a fiber-batch config: one lambda1 per column, each column its own problem
@@ -246,16 +247,79 @@ class TestIstaMatrixKernels:
         else:
             theta = alpha * rcfg.lambda1
         x, report = _ista_matrix(y2d, a, rcfg, variant)
-        ref = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
-        z, t_k = ref, 1.0
-        for _ in range(self.ITERS):
-            start = ref if variant == "ista" else z
-            ref_new = _soft_threshold_allocating(start + alpha * (ah @ (y2d - a @ start)), theta)
-            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
-            z = ref_new + ((t_k - 1.0) / t_next) * (ref_new - ref)
-            ref, t_k = ref_new, t_next
         assert report.iterations == self.ITERS
-        assert x.tobytes() == ref.tobytes()
+        assert x.tobytes() == _allocating_iteration(y2d, a, alpha, theta, variant, self.ITERS).tobytes()
+
+
+def _allocating_iteration(y2d, a, alpha, theta, variant, iters, seen=None):
+    """``iters`` ista or fista steps from zero, each array a new one; a list
+    ``seen`` receives every iterate."""
+    ah = a.conj().T
+    x = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
+    z, t_k = x, 1.0
+    for _ in range(iters):
+        start = x if variant == "ista" else z
+        x_new = _soft_threshold_allocating(start + alpha * (ah @ (y2d - a @ start)), theta)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
+        z = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
+        x, t_k = x_new, t_next
+        if seen is not None:
+            seen.append(x)
+    return x
+
+
+class TestIstaBlocks:
+    """A single ista or fista problem of at least SLAB_MIN_VOXELS entries
+    iterates on one block per worker, and no output byte depends on the
+    worker count."""
+
+    ITERS = 5
+
+    @pytest.mark.parametrize("variant", ["ista", "fista"])
+    @pytest.mark.parametrize("dims", [(64, 32, 32), (64, 33, 31)], ids=["64x32x32", "64x33x31"])
+    def test_bytes_independent_of_thread_count(self, dims, variant, monkeypatch):
+        assert math.prod(dims) >= SLAB_MIN_VOXELS
+        a = build_steering_matrix(default_geometry())
+        r = np.random.default_rng(23)
+        x = np.zeros(dims, dtype=complex)
+        at = tuple(r.integers(0, n, size=150) for n in dims)
+        x[at] = r.standard_normal(150) + 1j * r.standard_normal(150)
+        y = forward(a, x)
+        y += 0.1 * (r.standard_normal(y.shape) + 1j * r.standard_normal(y.shape))
+        rcfg = resolve_config(SolverConfig(sigma=1e-300, max_outer=self.ITERS), a, y)
+        y2d = y.reshape(a.shape[0], -1)
+        fanned = []
+        real_run_indexed = solvers.run_indexed
+
+        def spy(fn, items, workers=None):
+            items = list(items)
+            fanned.append(len(items))
+            return real_run_indexed(fn, items, workers)
+
+        monkeypatch.setattr(solvers, "run_indexed", spy)
+        runs = []
+        for threads in (1, 2, 3):
+            monkeypatch.setenv("TOMOSAR_THREADS", str(threads))
+            fanned.clear()
+            xs, report = _ista_matrix(y2d, a, rcfg, variant)
+            assert report.iterations == self.ITERS
+            # two fan-outs per iteration, three for fista after its first step
+            phases = 2 * self.ITERS + (self.ITERS - 1 if variant == "fista" else 0)
+            assert fanned == ([] if threads == 1 else [threads] * phases)
+            runs.append((xs.tobytes(), report.to_dict()))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        seen = []
+        ref = _allocating_iteration(y2d, a, rcfg.alpha, rcfg.alpha * rcfg.lambda1, variant, self.ITERS, seen)
+        assert runs[0][0] == ref.tobytes()
+        # the traces of the unblocked relative change and objective
+        before = [np.zeros_like(ref)] + seen[:-1]
+        assert runs[0][1]["rel_change_trace"] == [
+            float(_column_rel_change(t.reshape(-1, 1), t0.reshape(-1, 1))[0]) for t, t0 in zip(seen, before)
+        ]
+        assert runs[0][1]["objective_trace"] == [
+            float(_objective(t, _residual(t, y2d, a), rcfg.lambda1)[0]) for t in seen
+        ]
 
 
 class TestResidualReuse:
@@ -559,6 +623,29 @@ class TestSplitBregman:
             assert report.iterations == n_outer
             x_ref = reference.split_bregman_dense(y, a, dims, *params.values(), n_outer)
             assert np.max(np.abs(x - x_ref)) < 1e-8
+
+    def test_default_tau2_takes_the_exact_shrink_off_tau2_mu_one(self, monkeypatch):
+        # (1 / 49) * 49 rounds to 1 - 2^-53, but the default tau2 = 1 / mu
+        # still means the exact minimiser of the TV split variable
+        a = build_steering_matrix(small_geometry(n_e=6, n_z=8))
+        r = np.random.default_rng(17)
+        y = r.standard_normal((6, 4, 4)) + 1j * r.standard_normal((6, 4, 4))
+        cfg = SolverConfig(mu=49.0, sigma=1e-300, max_outer=2)
+        rcfg = resolve_config(cfg, a, y, alpha_factor=1.8)
+        assert rcfg.tau2 == 1.0 / 49.0 and rcfg.tau2 * rcfg.mu != 1.0
+        shrinks = []
+        real_soft_threshold = solvers.soft_threshold
+
+        def counted(*args, **kwargs):
+            shrinks.append(1)
+            return real_soft_threshold(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "soft_threshold", counted)
+        _, report = split_bregman_l1tv(y, a, cfg)
+        assert report.iterations == 2
+        # per iteration and axis: inner_iters = 3 shrinks of u, one of the
+        # split variable (the loop would take 3)
+        assert len(shrinks) == 2 * 3 * (3 + 1)
 
     def test_divergence_raises_with_trace(self):
         g = small_geometry()
