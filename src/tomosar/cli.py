@@ -5,8 +5,8 @@ structure-test, train-lista.  Exit codes: 0 success, 1 I/O failure,
 2 usage/configuration error, 3 solver divergence.  All outputs are
 byte-reproducible for identical flags; timing fields are only populated
 with --timing.  TOMOSAR_THREADS (0 = auto) caps resolution-test's pool over
-its column batches of whole separations and the slabs of a split-Bregman
-sweep on a volume; light-tv solves its slices in order.
+its column batches, the slabs of a split-Bregman sweep, the blocks of an
+ista or fista volume and light-tv's groups of slices.
 """
 
 import argparse

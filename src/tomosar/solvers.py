@@ -249,11 +249,7 @@ def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver, measur
             rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
             resid = _residual(_columns(x_new), y2d, a)
             return rel, resid, _objective(x_new, resid, lambda1, lambda2)
-    # ten times a positive start objective, else the largest float, so that
-    # a comparison with the limit also fails for inf and NaN
-    big = np.finfo(np.float64).max
-    with np.errstate(over="ignore"):
-        limit = np.where(obj0 > 0, np.minimum(10.0 * obj0, big), big)
+    limit = _divergence_limit(obj0)
     active = np.ones(k, dtype=bool)
     iters = np.zeros(k, dtype=int)
     # the results of stopped problems, allocated once some but not all have stopped
@@ -272,17 +268,8 @@ def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver, measur
         # stopped problems are still stepped but no longer traced, guarded or stopped
         run = slice(None) if frozen is None else active
         rel_trace.append(float(rel[run].max()))
-        bounded = obj[run] <= limit[run]
-        if not bounded.all():
-            j = int(np.arange(k)[run][np.argmin(bounded)])
-            why = f"exceeded 10x its initial value {obj0[j]:.3e}" if math.isfinite(obj[j]) else "is not finite"
-            where = f", column {j}" if k > 1 else ""
-            raise DivergenceError(
-                f"{solver} at iteration {it}{where}: objective {obj[j]:.3e} {why}",
-                objective_trace=obj_trace,
-                column=j,
-            )
-        stopped = rel < sigma
+        stopped = _stopped(rel, obj, obj0, limit, sigma, it, solver,
+                           lambda j: ((f", column {j}" if k > 1 else ""), obj_trace, j), run)
         if frozen is not None:
             stopped &= active
         if stopped.any():
@@ -310,6 +297,27 @@ def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver, measur
     return x, report
 
 
+def _divergence_limit(obj0):
+    """Ten times each positive start objective, else the largest float, so
+    that a comparison with the limit also fails for inf and NaN."""
+    big = np.finfo(np.float64).max
+    with np.errstate(over="ignore"):
+        return np.where(obj0 > 0, np.minimum(10.0 * obj0, big), big)
+
+
+def _stopped(rel, obj, obj0, limit, sigma, it, solver, blame, run=slice(None)):
+    """rel < sigma, the problems that stop at iteration ``it``; but first a
+    DivergenceError if an objective among ``run`` is above its ``limit`` or
+    non-finite, with what ``blame(j)`` of the first such problem j gives."""
+    bounded = obj[run] <= limit[run]
+    if not bounded.all():
+        j = int(np.arange(obj.size)[run][np.argmin(bounded)])
+        why = f"exceeded 10x its initial value {obj0[j]:.3e}" if math.isfinite(obj[j]) else "is not finite"
+        where, trace, column = blame(j)
+        raise DivergenceError(f"{solver} at iteration {it}{where}: objective {obj[j]:.3e} {why}", trace, column)
+    return rel < sigma
+
+
 def _residual(x, y2d, a):
     """y2d - a @ x, written into the product."""
     r = a @ x
@@ -327,14 +335,6 @@ def _gradient_step(x, y2d, a, ah, alpha, resid=None):
     g = ah @ resid
     np.multiply(alpha, g, out=g)
     return np.add(x, g, out=g)
-
-
-def _prox_step(x, y2d, a, ah, alpha, theta, resid=None):
-    """One :func:`_gradient_step` followed by soft thresholding."""
-    # a new array for the shrink, not out=: shrinking in place measured
-    # 10-20 % slower per step at 500 and 4096 columns, the temporaries of
-    # the next step then landing on fresh pages
-    return soft_threshold(_gradient_step(x, y2d, a, ah, alpha, resid), theta)
 
 
 def _objective(x, resid, lambda1, lambda2=None):
@@ -361,11 +361,11 @@ def _objective(x, resid, lambda1, lambda2=None):
     return value
 
 
-# A volume of fewer voxels sweeps as one slab, and an ista/fista iterate of
-# fewer entries iterates as one block: below it, handing work to threads
-# costs more than a second worker saves.  On a 2-core host one sweep of
-# 64x16x32 (2^15) voxels took 9-11 ms on one worker and 8-11 ms on two, of
-# 64x24x32 (3 * 2^14) 15-16 ms against 11-14 ms.
+# A volume of fewer voxels sweeps as one slab, and an ista/fista iterate or
+# light-tv's running slices of fewer entries iterate as one block: below it,
+# handing work to threads costs more than a second worker saves.  On a
+# 2-core host one sweep of 64x16x32 (2^15) voxels took 9-11 ms on one worker
+# and 8-11 ms on two, of 64x24x32 (3 * 2^14) 15-16 ms against 11-14 ms.
 SLAB_MIN_VOXELS = 3 << 14
 # The ufunc buffer size, in entries, of the work that runs on worker threads.
 _WORKER_BUFSIZE = 1024
@@ -397,6 +397,33 @@ def _cuts(size, n, unit):
     (n <= size // unit, or n = 1)."""
     bounds = [j * size // (n * unit) * unit for j in range(n)] + [size]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _descend(ah, resid, start, x_new, x_old, dx2, mag, mag2, work, alpha, theta, z=None, momentum=0.0):
+    """x_new = shrink(start + alpha ah @ resid, theta) on views; then x_old
+    takes x_new - x_old, dx2, mag and mag2 |x_new - x_old|^2, |x_new| and
+    |x_new|^2, and z, if given, x_new + momentum (x_new - x_old)."""
+    np.matmul(ah, resid, out=x_new)
+    np.multiply(alpha, x_new, out=x_new)
+    np.add(start, x_new, out=x_new)
+    soft_threshold(x_new, theta, out=x_new, work=work)
+    np.subtract(x_new, x_old, out=x_old)
+    np.abs(x_old, out=dx2)
+    np.square(dx2, out=dx2)
+    np.abs(x_new, out=mag)
+    np.square(mag, out=mag2)
+    if z is not None:
+        np.multiply(momentum, x_old, out=x_old)
+        np.add(x_new, x_old, out=z)
+
+
+def _data_fit(a, x, y, r, r2=None):
+    """r = y - a @ x on views, and r2 = |r|^2 if given."""
+    np.matmul(a, x, out=r)
+    np.subtract(y, r, out=r)
+    if r2 is not None:
+        np.abs(r, out=r2)
+        np.square(r2, out=r2)
 
 
 def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
@@ -449,38 +476,16 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
 
     def momentum_residual(block):
         cols = block[1]
-        # rz = y - A z
-        np.matmul(a, z[:, cols], out=rz[:, cols])
-        np.subtract(y2d[:, cols], rz[:, cols], out=rz[:, cols])
+        _data_fit(a, z[:, cols], y2d[:, cols], rz[:, cols])
 
     def descend(block):
         rows, _, wk = block
-        xn, dx = x_new[rows], x_old[rows]
-        # x_new = shrink(start + alpha A^H (y - A start)), shrunk in place
-        np.matmul(ah[rows], resid_start, out=xn)
-        np.multiply(alpha, xn, out=xn)
-        np.add(start[rows], xn, out=xn)
-        soft_threshold(xn, theta, out=xn, work=wk)
-        # the old iterate is read no more: its rows take x_new - x; then
-        # |x_new - x|^2, |x_new| and |x_new|^2
-        np.subtract(xn, dx, out=dx)
-        np.abs(dx, out=dx2[rows])
-        np.square(dx2[rows], out=dx2[rows])
-        np.abs(xn, out=mag[rows])
-        np.square(mag[rows], out=mag2[rows])
-        if fista:
-            # z = x_new + (t_k - 1) / t_{k+1} (x_new - x)
-            np.multiply(momentum, dx, out=dx)
-            np.add(xn, dx, out=z[rows])
+        _descend(ah[rows], resid_start, start[rows], x_new[rows], x_old[rows], dx2[rows], mag[rows], mag2[rows],
+                 wk, alpha, theta, z[rows] if fista else None, momentum)
 
     def data_fit(block):
         cols = block[1]
-        # r = y - A x_new and |r|^2
-        rb = r[:, cols]
-        np.matmul(a, x_new[:, cols], out=rb)
-        np.subtract(y2d[:, cols], rb, out=rb)
-        np.abs(rb, out=r2[:, cols])
-        np.square(r2[:, cols], out=r2[:, cols])
+        _data_fit(a, x_new[:, cols], y2d[:, cols], r[:, cols], r2[:, cols])
 
     def step(x, resid):
         nonlocal start, resid_start, x_old, x_new, nxt, t_k, momentum
@@ -512,6 +517,57 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
         return _rel_change(_column_sums(dx2, k), _column_sums(mag2, k)), r, obj
 
     return _iterate(step, x0, y2d, a, lam, None, rcfg.sigma, rcfg.max_outer, variant, measure)
+
+
+def _ista_slices(y3, a, rcfg: ResolvedConfig):
+    """ISTA on each frontal slice ``y3[:, :, k]``: the (n_z, m, n) results
+    and whether each converged, bit for bit as :func:`_ista_matrix` alone.
+    The running slices, each stopped and guarded alone, iterate as one stack
+    at its front, one group per worker from ``SLAB_MIN_VOXELS`` entries."""
+    n_z, (m, n) = a.shape[1], y3.shape[1:]
+    ah, alpha, theta = a.conj().T, rcfg.alpha, rcfg.alpha * rcfg.lambda1
+    y = np.ascontiguousarray(y3.transpose(2, 0, 1))
+    r, r2 = np.empty_like(y), np.empty(y.shape)
+    x, nxt = np.zeros((2, n, n_z, m), dtype=np.complex128)
+    dx2, mag, mag2 = np.zeros((3, n, n_z, m))
+    work = np.empty((n, 2 * n_z * m))
+    out, converged = np.empty((n_z, m, n), dtype=np.complex128), np.zeros(n, dtype=bool)
+    # the slice at each position of the running front; each slice's objectives
+    order, traces = np.arange(n), [[] for _ in range(n)]
+
+    def sums(t):
+        return t[:order.size].reshape(order.size, -1).sum(axis=1)
+
+    def objective():
+        return 0.5 * sums(r2) + rcfg.lambda1 * sums(mag)
+
+    def advance(group):
+        _descend(ah, r[group], x[group], nxt[group], x[group], dx2[group], mag[group], mag2[group],
+                 work[group].reshape(-1), alpha, theta)
+        _data_fit(a, nxt[group], y[group], r[group], r2[group])
+
+    _data_fit(a, x, y, r, r2)
+    obj0 = objective()
+    limit = _divergence_limit(obj0)
+    for it in range(rcfg.max_outer):
+        na = order.size
+        _fan(advance, _cuts(na, min(worker_count(), na) if na * n_z * m >= SLAB_MIN_VOXELS else 1, 1))
+        x, nxt = nxt, x
+        obj = objective()
+        for j, v in zip(order.tolist(), obj.tolist()):
+            traces[j].append(v)
+        stopped = _stopped(_rel_change(sums(dx2), sums(mag2)), obj, obj0, limit, rcfg.sigma, it, "ista",
+                           lambda i: (f", slice {order[i]}", traces[order[i]], None))
+        if stopped.any():
+            out[:, :, order[stopped]] = x[:na][stopped].transpose(1, 2, 0)
+            converged[order[stopped]] = True
+            order, obj0, limit = order[~stopped], obj0[~stopped], limit[~stopped]
+            for t in (x, r, y):
+                t[:order.size] = t[:na][~stopped]
+            if not order.size:
+                break
+    out[:, :, order] = x[:order.size].transpose(1, 2, 0)
+    return out, converged
 
 
 def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista"):
@@ -777,9 +833,10 @@ def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None):
     TV-denoise enhancement pass with the config's mu on the assembled tensor.
 
     The config is resolved once against the whole echo tensor so all slices
-    share the same thresholds.  Slices are solved in order on the caller's
-    thread.  Returns (tensor, report); the report's two-entry traces cover
-    the assembly stage and the enhancement stage.
+    share the same thresholds.  Each slice is its own problem with its own
+    stop, and the slices are solved as one stack on the worker threads
+    (:func:`_ista_slices`).  Returns (tensor, report); the report's
+    two-entry traces cover the assembly stage and the enhancement stage.
 
     A 2-D echo is instead an (n_e, m) batch of independent fibers, one per
     column, solved as one slice and returned as an (n_z, m) array: each
@@ -791,11 +848,11 @@ def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None):
     y, y3, batch = _as_volume(y, a.shape[0])
     rcfg = resolve_config(cfg, a, y)
     t0 = time.perf_counter()
-    # the slices in turn on the caller's thread: the 64-column slice solves
-    # hold the GIL, and at 64^3 two worker threads measured 3.2-4.6 s against
-    # 3.1-3.5 s for one
-    results = [_ista_matrix(y3[:, :, k], a, rcfg, variant="ista") for k in range(y3.shape[2])]
-    x = results[0][0] if batch else np.stack([r[0] for r in results], axis=2)
+    if batch:
+        x, ista_report = _ista_matrix(y, a, rcfg)
+        converged = ista_report.converged
+    else:
+        x, converged = _ista_slices(y3, a, rcfg)
     x_enh = tv_denoise_enhance(x, rcfg.lambda2, inner_iters=rcfg.inner_iters, mu=rcfg.mu)
     k = np.size(rcfg.lambda1)
     stages = ((np.zeros_like(x), x), (x, x_enh))
@@ -807,7 +864,7 @@ def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None):
         ],
         rel_change_trace=[float(_column_rel_change(t.reshape(-1, k), t0.reshape(-1, k)).max()) for t0, t in stages],
         wall_time_s=time.perf_counter() - t0,
-        converged=all(r[1].converged for r in results),
+        converged=bool(np.all(converged)),
     )
     return x_enh, report
 
@@ -1026,7 +1083,10 @@ def reconstruct_tensor(y, a, method, cfg: SolverConfig | None = None, lista_para
 
         def step(x, resid):
             alpha_k, theta_k = next(blocks)
-            return _prox_step(x, y2d, a, ah, alpha_k, theta_k, resid)
+            # a new array for the shrink, not out=: shrinking in place measured
+            # 10-20 % slower per step at 500 and 4096 columns, the temporaries
+            # of the next step then landing on fresh pages
+            return soft_threshold(_gradient_step(x, y2d, a, ah, alpha_k, resid), theta_k)
 
         # data-fit objective only (lambda1 = 0 for each problem): the unrolled
         # blocks carry no single lambda pair; sigma = 0 never stops early,

@@ -818,6 +818,72 @@ class TestLightReconstruct:
         assert np.array_equal(x, tv_denoise_enhance(stage, rcfg.lambda2, rcfg.inner_iters, mu=4.0))
         assert not np.array_equal(x, light_reconstruct_enhance(y, a)[0])
 
+    def test_stacked_slices_match_their_solo_solves(self, monkeypatch):
+        # 13 slices of 64x64, above the slab constant and cut unevenly by 2
+        # and 3 workers; slice 4 is all zero and stops at iteration 1, and
+        # the others stop at different iterations or run to max_outer, so
+        # the stack is compacted several times
+        a = build_steering_matrix(default_geometry())
+        r = np.random.default_rng(41)
+        n_z, m, n = a.shape[1], 64, 13
+        assert n_z * m * n >= SLAB_MIN_VOXELS
+        x = np.zeros((n_z, m, n), dtype=complex)
+        for k in range(n):
+            at = (r.integers(0, n_z, 3 + 4 * k), r.integers(0, m, 3 + 4 * k), k)
+            x[at] = r.standard_normal(3 + 4 * k) + 1j * r.standard_normal(3 + 4 * k)
+        y = forward(a, x)
+        y += 0.05 * (r.standard_normal(y.shape) + 1j * r.standard_normal(y.shape))
+        y[:, :, 4] = 0
+        rcfg = resolve_config(SolverConfig(sigma=1e-4, max_outer=34), a, y)
+        solo = [_ista_matrix(y[:, :, k], a, rcfg) for k in range(n)]
+        iterations = [report.iterations for _, report in solo]
+        assert iterations[4] == 1
+        assert len(set(iterations)) > 3
+        converged = np.array([report.converged for _, report in solo])
+        assert not converged.all()
+        expect = np.stack([xk for xk, _ in solo], axis=2)
+        fanned = []
+        real_run_indexed = solvers.run_indexed
+
+        def spy(fn, items, workers=None):
+            items = list(items)
+            fanned.append(len(items))
+            return real_run_indexed(fn, items, workers)
+
+        monkeypatch.setattr(solvers, "run_indexed", spy)
+        for threads in (1, 2, 3):
+            monkeypatch.setenv("TOMOSAR_THREADS", str(threads))
+            fanned.clear()
+            xs, conv = solvers._ista_slices(y, a, rcfg)
+            assert xs.tobytes() == expect.tobytes()
+            assert np.array_equal(conv, converged)
+            assert fanned[:1] == ([] if threads == 1 else [threads])
+
+    def test_diverging_slice_is_named_while_the_others_run(self):
+        # an oversized step on lambda1 = 0: an echo along A's leading left
+        # singular vector grows, one along its last decays.  Slice 3 diverges
+        # at iteration 2 and slice 1 later, while slices 0, 2 and 4 run on.
+        a = build_steering_matrix(default_geometry())
+        u = np.linalg.svd(a)[0]
+        r = np.random.default_rng(5)
+        y = np.stack([np.outer(u[:, -1], r.standard_normal(3)) for _ in range(5)], axis=2)
+        y[:, :, 3] = np.outer(u[:, 0], [1.0, 2.0, -1.0])
+        y[:, :, 1] += 0.05 * np.outer(u[:, 0], np.ones(3))
+        cfg = SolverConfig(alpha=2.5 / spectral_norm_sq(a), lambda1=0.0, sigma=1e-12, max_outer=30)
+        rcfg = resolve_config(cfg, a, y)
+        solo = {}
+        for k in range(5):
+            try:
+                _ista_matrix(y[:, :, k], a, rcfg)
+            except DivergenceError as exc:
+                solo[k] = exc
+        assert sorted(solo) == [1, 3]
+        assert len(solo[1].objective_trace) > len(solo[3].objective_trace) == 3
+        with pytest.raises(DivergenceError) as err:
+            light_reconstruct_enhance(y, a, cfg)
+        assert str(err.value) == str(solo[3]).replace("iteration 2:", "iteration 2, slice 3:")
+        assert err.value.objective_trace == solo[3].objective_trace
+
     def test_report_has_two_stages(self):
         a = build_steering_matrix(small_geometry())
         r = np.random.default_rng(17)
