@@ -2,10 +2,8 @@
 
 Image metrics (rmse, psnr) compare tensor magnitudes.  Point-cloud metrics
 (precision, recall, d_pcm, variance) compare nearest-neighbor distances
-between extracted scatterer clouds; the matcher uses a KD-tree and is
-verified elsewhere against an O(N^2) brute force.  scipy is imported by the
-matcher on its first call, so that commands which never match clouds do not
-load it.
+between extracted scatterer clouds; the matcher is an exact cell-grid
+search in numpy and equals an O(N^2) brute force bit for bit.
 """
 
 import math
@@ -92,21 +90,75 @@ def extract_point_cloud(x, rel_threshold=0.1, cell=(1.0, 1.0, 1.0)):
 
 
 def _nn_dists(query_xyz, ref_xyz):
-    from scipy.spatial import cKDTree  # ~0.4 s and ~30 MiB; only matching needs it
+    """Distance from each query point to its nearest point of a nonempty reference cloud.
 
-    tree = cKDTree(ref_xyz)
-    d, _ = tree.query(query_xyz, k=1)
-    return np.atleast_1d(d)
+    An exact search on a uniform grid of cubic cells, about one reference
+    point each (Bentley, Stanat & Williams 1977): the cells around a query's
+    cell are scanned one Chebyshev ring at a time until its best squared
+    distance is no larger than the squared distance to the edge of the
+    scanned box, or the box holds every cell.  A point lies in cell k of an
+    axis iff edge[k] <= x < edge[k + 1] (clamped to the grid) and rounding is
+    monotone, so no unscanned point comes closer.  Each distance is
+    sqrt(dx*dx + dy*dy + dz*dz), bit for bit the brute force's.
+    """
+    q = np.asarray(query_xyz, dtype=np.float64).reshape(-1, 3)
+    p = np.asarray(ref_xyz, dtype=np.float64).reshape(-1, 3)
+    lo, ext = p.min(axis=0), np.ptp(p, axis=0)
+    h = 0.0
+    for _ in range(3):  # a cell's volume is the box's over the point count; thinner axes count once
+        wide = ext > h
+        h = math.exp((np.log(ext[wide]).sum() - math.log(len(p))) / wide.sum()) if wide.any() else h
+    h = h or 1.0
+    shape = tuple(int(g) + 1 for g in np.minimum(ext / h, len(p)))
+    edges = [start + h * np.arange(g + 1) for start, g in zip(lo, shape)]
+
+    def cells(x):
+        return np.stack([np.clip(np.searchsorted(e, x[:, ax], "right") - 1, 0, len(e) - 2)
+                         for ax, e in enumerate(edges)], axis=1)
+
+    lin = np.ravel_multi_index(cells(p).T, shape)
+    p = p[np.argsort(lin, kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(lin, minlength=math.prod(shape)))))
+    qc = cells(q)
+    best = np.full(len(q), np.inf)
+    todo = np.arange(len(q))
+    r = 0
+    while todo.size:
+        axes = [np.arange(-min(r, g - 1), min(r, g - 1) + 1) for g in shape]
+        ring = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        ring = ring[np.abs(ring).max(axis=1) == r]
+        # queries in chunks of at most 2^16 (query, cell) pairs and about as many candidates
+        step = max(1, (1 << 16) // len(ring))
+        for i in range(0, todo.size, step):
+            rows = todo[i:i + step]
+            cell = qc[rows, None, :] + ring
+            ok = np.all((cell >= 0) & (cell < shape), axis=2)
+            lin = np.ravel_multi_index(cell[ok].T, shape)
+            n = starts[lin + 1] - starts[lin]
+            pair = np.repeat(np.arange(n.size), n)
+            idx = starts[lin][pair] + np.arange(pair.size) - (np.cumsum(n) - n)[pair]
+            qi = np.broadcast_to(rows[:, None], ok.shape)[ok][pair]
+            d = q[qi] - p[idx]
+            s = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+            s += d[:, 2] * d[:, 2]
+            np.minimum.at(best, qi, s)
+        # the distance to the nearest edge of the box that has cells beyond it
+        x, c = q[todo], qc[todo]
+        gap = np.minimum(np.where(c - r > 0, x - (lo + h * (c - r)), np.inf),
+                         np.where(c + r + 1 < shape, lo + h * (c + r + 1) - x, np.inf)).min(axis=1)
+        todo = todo[best[todo] > gap * gap]
+        r += 1
+    return np.sqrt(best)
 
 
-def precision_recall(recon: PointCloud, truth: PointCloud, tau_p: float):
+def precision_recall(recon: PointCloud, truth: PointCloud, tau_p: float, *, recon_dists=None):
     """Matched-point fractions at tolerance tau_p.
 
     precision = (recon points with nearest-truth distance <= tau_p) / N_p;
     recall = (truth points with nearest-recon distance <= tau_p) / A_p.
     The two matched counts are distinct and both returned in the counts
     dict.  An empty recon leaves precision None; an empty truth leaves
-    recall None.
+    recall None.  ``recon_dists`` are the recon -> truth distances, if known.
     """
     scoring_settings(tau_p=tau_p)
     n_p = recon.n_points
@@ -116,7 +168,7 @@ def precision_recall(recon: PointCloud, truth: PointCloud, tau_p: float):
     recall = None
     if n_p > 0:
         if a_p > 0:
-            d = _nn_dists(recon.xyz, truth.xyz)
+            d = _nn_dists(recon.xyz, truth.xyz) if recon_dists is None else recon_dists
             counts["precision_matches"] = int(np.sum(d <= tau_p))
         precision = counts["precision_matches"] / n_p
     if a_p > 0:
@@ -131,15 +183,20 @@ def d_pcm(recon: PointCloud, truth: PointCloud):
     """Mean nearest-neighbor Euclidean distance, recon -> truth."""
     if recon.n_points == 0 or truth.n_points == 0:
         raise ValueError("d_pcm needs two nonempty clouds")
-    return float(np.mean(_nn_dists(recon.xyz, truth.xyz)))
+    return _spread(_nn_dists(recon.xyz, truth.xyz))[0]
 
 
 def variance(recon: PointCloud, truth: PointCloud):
     """Population variance of the recon -> truth nearest-neighbor distances."""
     if recon.n_points == 0 or truth.n_points == 0:
         raise ValueError("variance needs two nonempty clouds")
-    d = _nn_dists(recon.xyz, truth.xyz)
-    return float(np.mean((d - np.mean(d)) ** 2))
+    return _spread(_nn_dists(recon.xyz, truth.xyz))[1]
+
+
+def _spread(d):
+    """(d_pcm, variance) of the recon -> truth distances ``d``."""
+    mean = np.mean(d)
+    return float(mean), float(np.mean((d - mean) ** 2))
 
 
 def timed(f, repeats=1):
@@ -198,15 +255,17 @@ def evaluate_tensors(
         raise ValueError(f"shape mismatch: {recon.shape} vs {truth.shape}")
     recon_cloud = extract_point_cloud(recon, rel_threshold, cell=cell)
     truth_cloud = extract_point_cloud(truth, rel_threshold, cell=cell)
-    precision, recall, counts = precision_recall(recon_cloud, truth_cloud, tau_p)
-    have_both = recon_cloud.n_points > 0 and truth_cloud.n_points > 0
+    # the recon -> truth distances serve precision, d_pcm and variance
+    d = _nn_dists(recon_cloud.xyz, truth_cloud.xyz) if recon_cloud.n_points and truth_cloud.n_points else None
+    precision, recall, counts = precision_recall(recon_cloud, truth_cloud, tau_p, recon_dists=d)
+    d_mean, d_var = (None, None) if d is None else _spread(d)
     report = EvalReport(
         rmse=rmse(recon, truth),
         psnr_db=psnr(recon, truth),
         precision=precision,
         recall=recall,
-        d_pcm=d_pcm(recon_cloud, truth_cloud) if have_both else None,
-        variance=variance(recon_cloud, truth_cloud) if have_both else None,
+        d_pcm=d_mean,
+        variance=d_var,
         reconstruction_time_s=reconstruction_time_s,
         n_p=counts["n_p"],
         a_p=counts["a_p"],

@@ -226,7 +226,7 @@ def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver, measur
     relative change drops below ``sigma`` and keeps its value from that
     iteration; the loop ends when all have stopped or after ``max_outer``
     steps.  A DivergenceError, naming ``solver``, the iteration, the column
-    of a larger batch and its objective, is raised as soon as the objective
+    of a fiber batch and its objective, is raised as soon as the objective
     of a running problem is non-finite or exceeds ten times its start
     value.  The report counts the steps run and each problem's own
     (``column_iterations``), is converged only if every problem is, and
@@ -244,6 +244,7 @@ def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver, measur
     resid = _residual(_columns(x), y2d, a)
     obj0 = _objective(x, resid, lambda1, lambda2)
     k = obj0.size
+    batch = np.ndim(lambda1) > 0
     if measure is None:
         def measure(x_new, x):
             rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
@@ -269,7 +270,7 @@ def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver, measur
         run = slice(None) if frozen is None else active
         rel_trace.append(float(rel[run].max()))
         stopped = _stopped(rel, obj, obj0, limit, sigma, it, solver,
-                           lambda j: ((f", column {j}" if k > 1 else ""), obj_trace, j), run)
+                           lambda j: ((f", column {j}", obj_trace, j) if batch else ("", obj_trace, None)), run)
         if frozen is not None:
             stopped &= active
         if stopped.any():

@@ -352,10 +352,22 @@ class TestFiberBatchDivergence:
         msg = str(err.value)
         assert msg.startswith(f"{solver} at iteration ")
         assert ", column 1: objective " in msg
+        assert err.value.column == 1
         it = int(msg.split("iteration ")[1].split(",")[0])
         # the trace is the batch objective, one float per iteration
         trace = err.value.objective_trace
         assert len(trace) == it + 1 and all(isinstance(v, float) for v in trace)
+
+    @pytest.mark.parametrize("method, solver", [
+        ("ista", "ista"), ("fista", "fista"), ("sb-tv", "sb-tv"), ("light-tv", "ista"), ("lista", "lista"),
+    ])
+    def test_one_column_batch_names_column_0(self, method, solver):
+        # resolution_curve maps the column of a batch to its trial, also for one trial
+        a = build_steering_matrix(default_geometry())
+        with pytest.raises(DivergenceError) as err:
+            reconstruct_tensor(fiber_echoes(a, 1.0, 1), a, method, SolverConfig(alpha=1.0), self.DIVERGENT_LISTA)
+        assert err.value.column == 0
+        assert re.match(rf"{solver} at iteration \d+, column 0: objective ", str(err.value))
 
     @pytest.mark.parametrize("method", ["ista", "fista", "sb-tv", "light-tv", "lista"])
     def test_resolution_curve_raises(self, method):

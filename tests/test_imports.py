@@ -1,11 +1,10 @@
-"""scipy is loaded only for point-cloud matching, and ``import tomosar``
-loads every submodule the benchmark tracer rebinds.
+"""No stage imports scipy, and ``import tomosar`` loads every submodule the
+benchmark tracer rebinds.
 
-``import tomosar.cli`` and the subcommands that never match clouds
-(simulate, reconstruct, resolution-test) must not import scipy: it costs
-~0.4 s of start-up and ~30 MiB of resident memory, which every CLI process
-would otherwise pay.  The first ``evaluate`` loads it, and its report bytes
-are those of the module-level import the matcher used to have.
+scipy costs ~0.3 s of start-up and ~28 MiB of resident memory, so neither
+``import tomosar.cli`` nor any subcommand may load it; the point-cloud
+matcher of ``evaluate`` and ``structure-test`` is numpy alone, and its report
+bytes are those of the scipy KD-tree it replaced.
 """
 
 import json
@@ -16,8 +15,8 @@ import sys
 import pytest
 
 # One fresh interpreter lists the submodules ``import tomosar`` loads, runs
-# every stage through tomosar.cli.main and reports the scipy modules loaded
-# after each, then the evaluate report.
+# every subcommand through tomosar.cli.main and reports the scipy modules
+# loaded after each, then the evaluate report.
 SCRIPT = r"""
 import json, os, sys
 
@@ -40,6 +39,10 @@ for name, argv in [
                          "--out", p("curve.csv")]),
     ("evaluate", ["evaluate", "--recon", p("recon.tsr3"), "--truth", p("scene.tsr3"),
                   "--out", p("eval.json"), "--cell-z", "0.4", "--cell-x", "0.5", "--cell-y", "0.5"]),
+    ("structure-test", ["structure-test", "--object", "one_step", "--method", "fista", "--nx", "4", "--ny", "4",
+                        "--out-dir", p("bundle")]),
+    ("train-lista", ["train-lista", "--fibers", "10", "--epochs", "2", "--blocks", "2",
+                     "--out-params", p("params.json")]),
 ]:
     rc = tomosar.cli.main(argv)
     if rc != 0:
@@ -50,7 +53,7 @@ with open(p("eval.json")) as fh:
 print(json.dumps(stages))
 """
 
-# The report of the run above as written with scipy imported at module level.
+# The report of the run above as written when scipy's KD-tree matched the clouds.
 EXPECTED_REPORT = """\
 {
   "a_p": 19,
@@ -94,6 +97,8 @@ def test_commands_without_matching_load_no_scipy(stages, stage):
     assert stages[stage] == []
 
 
-def test_evaluate_loads_scipy_and_writes_the_same_report(stages):
-    assert "scipy.spatial" in stages["evaluate"]
+def test_no_stage_loads_scipy_and_evaluate_writes_the_same_report(stages):
+    loaded = {stage: mods for stage, mods in stages.items() if stage not in ("package", "report") and mods}
+    assert loaded == {}
+    assert {"evaluate", "structure-test", "train-lista"} <= set(stages)
     assert stages["report"] == EXPECTED_REPORT

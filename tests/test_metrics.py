@@ -124,6 +124,63 @@ class TestExtract:
             extract_point_cloud(t, rel_threshold=1.5)
 
 
+def brute_dists(q, p):
+    """reference.nn_dists_brute over row chunks of q, each row's distance being its own."""
+    rows = max(1, (1 << 20) // len(p))
+    return np.concatenate([reference.nn_dists_brute(q[i:i + rows], p) for i in range(0, len(q), rows)])
+
+
+def lattice(occupancy, seed):
+    """Voxel centers of a random 64x32x32 mask, in the cell of the default grid."""
+    mask = np.random.default_rng(seed).random((64, 32, 32)) < occupancy
+    return np.argwhere(mask) * (0.3953159912499995, 0.5, 0.5)
+
+
+class TestNearestNeighbors:
+    """The cell-grid matcher equals the brute force bit for bit."""
+
+    rng = np.random.default_rng(60)
+    line = np.column_stack([rng.normal(size=200), np.zeros(200), np.zeros(200)])
+    CASES = {
+        "one reference point": (rng.normal(size=(50, 3)), np.array([[1.0, -2.0, 0.5]])),
+        "coincident points": (rng.normal(size=(50, 3)), np.full((30, 3), 0.25)),
+        "duplicate points": (rng.normal(size=(80, 3)), np.repeat(rng.normal(size=(40, 3)), 3, axis=0)),
+        "zero extent on one axis": (rng.normal(size=(300, 3)), np.column_stack([rng.normal(size=(200, 2)), np.zeros(200)])),
+        "zero extent on two axes": (rng.normal(size=(300, 3)), line),
+        "queries 1e6 outside": (np.vstack([rng.normal(size=(40, 3)) + 1e6, rng.normal(size=(40, 3)) - [0, 1e6, 0]]),
+                                rng.normal(size=(200, 3))),
+        "off-line queries 1e6 away": (rng.normal(size=(40, 3)) * [1, 1e6, 1e6], line),
+        "queries on the reference": (np.vstack([line, line[::7] + 1e-9]), line),
+        "lattice 1% to 30%": (lattice(0.01, 61), lattice(0.30, 62)),
+        "lattice 30% to 1%": (lattice(0.30, 63), lattice(0.01, 64)),
+        # 70 000 queries: more than one chunk of query-cell pairs at every ring
+        "more than one chunk": (rng.uniform(-1, 11, (70_000, 3)), rng.uniform(0, 10, (50, 3))),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_brute_force(self, case):
+        q, p = self.CASES[case]
+        assert np.array_equal(metrics._nn_dists(q, p), brute_dists(q, p))
+
+    def test_evaluate_matches_once_each_way(self, monkeypatch):
+        calls = []
+
+        def counted(q, p):
+            calls.append((len(q), len(p)))
+            return reference.nn_dists_brute(q, p)
+
+        t = np.zeros((4, 4, 4), dtype=complex)
+        t[1, 1, 1], t[2, 3, 0] = 1.0, 2.0
+        x = t.copy()
+        x[3, 3, 3] = 1.5
+        monkeypatch.setattr(metrics, "_nn_dists", counted)
+        report, rc, tc = evaluate_tensors(x, t)
+        # recon -> truth for precision, d_pcm and variance; truth -> recon for recall
+        assert calls == [(3, 2), (2, 3)]
+        assert (report.d_pcm, report.variance) == (d_pcm(rc, tc), variance(rc, tc))
+        assert report.t_p == {"precision": 2, "recall": 2}
+
+
 class TestPrecisionRecall:
     def test_identical_clouds(self):
         c = random_cloud(50, seed=3)

@@ -1105,7 +1105,9 @@ class TestDivergenceGuard:
         msg = str(err.value)
         solver = "ista" if method == "light-tv" else method
         assert msg.startswith(f"{solver} at iteration ")
-        assert "objective" in msg
+        assert "objective" in msg and ", column" not in msg
+        # one volume is no fiber batch: no column to name
+        assert err.value.column is None
         assert len(err.value.objective_trace) >= 1
 
     def test_oversized_lista_step_raises(self):
