@@ -95,15 +95,17 @@ def _nn_dists(query_xyz, ref_xyz):
     An exact search on a uniform grid of cubic cells, about one reference
     point each (Bentley, Stanat & Williams 1977): the cells around a query's
     cell are scanned one Chebyshev ring at a time until its best squared
-    distance is no larger than the squared distance to the edge of the
-    scanned box, or the box holds every cell.  A point lies in cell k of an
-    axis iff edge[k] <= x < edge[k + 1] (clamped to the grid) and rounding is
-    monotone, so no unscanned point comes closer.  Each distance is
+    distance is no larger than a bound on every unscanned point (beyond an
+    edge of the scanned box on one axis, inside the cloud's box on the
+    others), or the box holds every cell.  Cells are cut at edge[k] <= x <
+    edge[k + 1] (clamped) and rounding is monotone, so no unscanned point
+    comes closer.  Each distance is
     sqrt(dx*dx + dy*dy + dz*dz), bit for bit the brute force's.
     """
     q = np.asarray(query_xyz, dtype=np.float64).reshape(-1, 3)
     p = np.asarray(ref_xyz, dtype=np.float64).reshape(-1, 3)
-    lo, ext = p.min(axis=0), np.ptp(p, axis=0)
+    lo, hi = p.min(axis=0), p.max(axis=0)
+    ext = hi - lo
     h = 0.0
     for _ in range(3):  # a cell's volume is the box's over the point count; thinner axes count once
         wide = ext > h
@@ -120,6 +122,8 @@ def _nn_dists(query_xyz, ref_xyz):
     p = p[np.argsort(lin, kind="stable")]
     starts = np.concatenate(([0], np.cumsum(np.bincount(lin, minlength=math.prod(shape)))))
     qc = cells(q)
+    # squared distance to the reference cloud's box, per query and axis
+    far = np.maximum(np.maximum(lo - q, q - hi), 0.0) ** 2
     best = np.full(len(q), np.inf)
     todo = np.arange(len(q))
     r = 0
@@ -142,11 +146,13 @@ def _nn_dists(query_xyz, ref_xyz):
             s = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
             s += d[:, 2] * d[:, 2]
             np.minimum.at(best, qi, s)
-        # the distance to the nearest edge of the box that has cells beyond it
-        x, c = q[todo], qc[todo]
-        gap = np.minimum(np.where(c - r > 0, x - (lo + h * (c - r)), np.inf),
-                         np.where(c + r + 1 < shape, lo + h * (c + r + 1) - x, np.inf)).min(axis=1)
-        todo = todo[best[todo] > gap * gap]
+        # squared distance to the nearest edge with cells beyond, per axis
+        x, c, f = q[todo], qc[todo], far[todo]
+        e = np.minimum(np.where(c - r > 0, x - (lo + h * (c - r)), np.inf),
+                       np.where(c + r + 1 < shape, lo + h * (c + r + 1) - x, np.inf)) ** 2
+        bound = np.minimum(np.minimum(e[:, 0] + f[:, 1] + f[:, 2], f[:, 0] + e[:, 1] + f[:, 2]),
+                           f[:, 0] + f[:, 1] + e[:, 2])
+        todo = todo[best[todo] > bound]
         r += 1
     return np.sqrt(best)
 

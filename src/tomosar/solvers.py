@@ -77,6 +77,26 @@ class ResolvedConfig:
     inner_iters: int
 
 
+def _knob(name, v, positive=True):
+    """v as a float (an array: as floats); ConfigurationError naming the
+    knob and the first bad value unless every value is finite and > 0 (>= 0)."""
+    vals = np.asarray(v, dtype=np.float64)
+    ok = np.isfinite(vals) & ((vals > 0) if positive else (vals >= 0))
+    if not ok.all():
+        bad = v if vals.ndim == 0 else float(vals[~ok][0])
+        raise ConfigurationError(f"{name} must be finite and {'positive' if positive else '>= 0'}, got {bad!r}")
+    return vals if vals.ndim else float(v)
+
+
+def _count(name, v):
+    """v as an int; ConfigurationError naming the knob unless it is a whole number >= 1."""
+    if not float(v).is_integer():
+        raise ConfigurationError(f"{name} must be a whole number, got {v!r}")
+    if v < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {v!r}")
+    return int(v)
+
+
 def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9) -> ResolvedConfig:
     """Fill every None field of ``cfg`` from the data-dependent defaults.
 
@@ -88,27 +108,15 @@ def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9)
     chosen per solver family; an explicit cfg.alpha always wins.
     """
     cfg = cfg or SolverConfig()
-    for name in ("max_outer", "inner_iters"):
-        if not float(getattr(cfg, name)).is_integer():
-            raise ConfigurationError(f"{name} must be a whole number, got {getattr(cfg, name)!r}")
+    max_outer, inner_iters = (_count(name, getattr(cfg, name)) for name in ("max_outer", "inner_iters"))
     y2d = np.asarray(y, dtype=np.complex128).reshape(a.shape[0], -1)
     batch = np.ndim(y) == 2
 
     def per_problem(v):
         return np.full(y2d.shape[1], float(v)) if batch else v
 
-    def check(name, v, positive=True):
-        """v as a float (an array: as floats); ConfigurationError naming the
-        knob and the first bad value unless every value is finite and > 0 (>= 0)."""
-        vals = np.asarray(v, dtype=np.float64)
-        ok = np.isfinite(vals) & ((vals > 0) if positive else (vals >= 0))
-        if not ok.all():
-            bad = v if vals.ndim == 0 else float(vals[~ok][0])
-            raise ConfigurationError(f"{name} must be finite and {'positive' if positive else '>= 0'}, got {bad!r}")
-        return vals if vals.ndim else float(v)
-
     # each knob is checked before the defaults derived from it
-    alpha = check("alpha", alpha_factor / spectral_norm_sq(a) if cfg.alpha is None else cfg.alpha)
+    alpha = _knob("alpha", alpha_factor / spectral_norm_sq(a) if cfg.alpha is None else cfg.alpha)
     if cfg.lambda1 is None:
         lam1 = 0.05 * np.max(np.abs(a.conj().T @ y2d), axis=0)
         # rounding is monotone, so the largest scaled column maximum equals
@@ -116,24 +124,22 @@ def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9)
         lam1 = lam1 if batch else float(np.max(lam1))
     else:
         lam1 = per_problem(cfg.lambda1)
-    lam1 = check("lambda1", lam1, positive=False)
-    lam2 = check("lambda2", 0.01 * lam1 if cfg.lambda2 is None else per_problem(cfg.lambda2), positive=False)
-    mu = check("mu", cfg.mu)
+    lam1 = _knob("lambda1", lam1, positive=False)
+    lam2 = _knob("lambda2", 0.01 * lam1 if cfg.lambda2 is None else per_problem(cfg.lambda2), positive=False)
+    mu = _knob("mu", cfg.mu)
     r = ResolvedConfig(
         alpha=alpha,
         lambda1=lam1,
         lambda2=lam2,
         mu=mu,
-        tau1=check("tau1", 1.0 / (1.0 / alpha + 8.0 * mu) if cfg.tau1 is None else cfg.tau1),
-        tau2=check("tau2", 1.0 / mu if cfg.tau2 is None else cfg.tau2),
+        tau1=_knob("tau1", 1.0 / (1.0 / alpha + 8.0 * mu) if cfg.tau1 is None else cfg.tau1),
+        tau2=_knob("tau2", 1.0 / mu if cfg.tau2 is None else cfg.tau2),
         sigma=float(cfg.sigma),
-        max_outer=int(cfg.max_outer),
-        inner_iters=int(cfg.inner_iters),
+        max_outer=max_outer,
+        inner_iters=inner_iters,
     )
     if not (0.0 < r.sigma < 1.0):
         raise ConfigurationError(f"sigma must be in (0, 1), got {r.sigma}")
-    if r.max_outer < 1 or r.inner_iters < 1:
-        raise ConfigurationError("max_outer and inner_iters must be >= 1")
     return r
 
 
@@ -192,11 +198,6 @@ def soft_threshold(z, theta, out=None, work=None):
     return res
 
 
-def _column_sums(t, k):
-    """The sum of each column of ``t.reshape(-1, k)``."""
-    return t.reshape(-1, k).sum(axis=0)
-
-
 def _rel_change(num, den):
     """num / den, the relative change from its two sums, 0 for no change."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -213,110 +214,119 @@ def _columns(t):
     return t.reshape(t.shape[0], -1)
 
 
-def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver, measure=None):
-    """The outer loop shared by every iterative solver.
+class _Stops:
+    """The stops of the k problems of each of s slices, the running slices
+    at the front (slice order[i] at position i), for :func:`_iterate` and
+    :func:`_ista_matrix`.
 
-    Applies ``x = step(x, resid)`` from the given start.  ``resid``, the
-    residual y2d - a @ x over the columns of ``x``, is formed once per
-    iterate: it scores the iterate through :func:`_objective` with
-    ``lambda1`` and ``lambda2``, and the step reads it but does not write
-    it.  The objective has one value per problem: k values pose
-    k independent problems, the columns of ``x.reshape(-1, k)``, iterated
-    side by side (a volume is a batch of one).  Each problem stops once its
-    relative change drops below ``sigma`` and keeps its value from that
-    iteration; the loop ends when all have stopped or after ``max_outer``
-    steps.  A DivergenceError, naming ``solver``, the iteration, the column
-    of a fiber batch and its objective, is raised as soon as the objective
-    of a running problem is non-finite or exceeds ten times its start
-    value.  The report counts the steps run and each problem's own
-    (``column_iterations``), is converged only if every problem is, and
-    traces per iteration the objective summed over the problems (also
-    carried by a DivergenceError) and the largest relative change among
-    those still running.
+    A problem stops once its relative change drops below ``sigma``, its
+    value from that iteration going to ``res`` (s, entries, k), allocated,
+    unless given, once some but not all have stopped.  A running problem
+    whose objective is non-finite or exceeds ten times ``obj0`` (s, k)
+    raises a DivergenceError naming ``solver``, the iteration, the column
+    of a batch or slice of a stack, and carrying the summed trace (a stack
+    slice's own).  The report traces the objective summed over the running
+    slices and the largest relative change of a running problem.
+    """
 
-    ``measure(x_new, x)`` returns what the loop reads of the step just
-    taken from ``x`` to ``x_new``: the relative change of each problem (as
-    :func:`_column_rel_change`), the residual of ``x_new`` and its
-    objective.  By default it computes them from the two iterates.  Past
-    ``measure`` the loop never reads the old iterate, so a step may reuse
-    its array.
+    def __init__(self, obj0, sigma, max_outer, solver, batch, stack=False, res=None):
+        s, k = obj0.shape
+        big = np.finfo(np.float64).max
+        with np.errstate(over="ignore"):
+            # the largest float where obj0 <= 0: a comparison with it also fails for inf and NaN
+            self.limit = np.where(obj0 > 0, np.minimum(10.0 * obj0, big), big)
+        self.obj0, self.sigma, self.solver, self.batch, self.stack, self.res = obj0, sigma, solver, batch, stack, res
+        self.order, self.active, self.iters = np.arange(s), np.ones((s, k), dtype=bool), np.full((s, k), max_outer)
+        self.traces, self.obj_trace, self.rel_trace = [[] for _ in range(s)], [], []
+        self.t0 = time.perf_counter()
+
+    def check(self, it, rel, obj, x):
+        """Trace, guard and stop the running slices' (na, k) ``rel`` and
+        ``obj`` of iteration ``it``, copying each problem that stops out of
+        ``x``, the (s, entries, k) iterates; returns which running slices
+        have no running problem left."""
+        na = obj.shape[0]
+        run, order = self.active[:na], self.order
+        self.obj_trace.append(float(obj.sum()))
+        self.rel_trace.append(float(rel[run].max()))
+        if self.stack:
+            for j, v in zip(order.tolist(), obj.sum(axis=1).tolist()):
+                self.traces[j].append(v)
+        bounded = obj[run] <= self.limit[:na][run]
+        if not bounded.all():
+            i, c = (int(t[np.argmin(bounded)]) for t in np.nonzero(run))
+            o = obj[i, c]
+            why = f"exceeded 10x its initial value {self.obj0[i, c]:.3e}" if math.isfinite(o) else "is not finite"
+            where, trace, column = ((f", slice {order[i]}", self.traces[order[i]], None) if self.stack else
+                                    (f", column {c}", self.obj_trace, c) if self.batch else ("", self.obj_trace, None))
+            raise DivergenceError(f"{self.solver} at iteration {it}{where}: objective {o:.3e} {why}", trace, column)
+        stopped = (rel < self.sigma) & run
+        if stopped.any():
+            i, c = np.nonzero(stopped)
+            self.iters[order[i], c] = it + 1
+            run &= ~stopped
+            if self.res is None and run.any():
+                self.res = np.empty_like(x)
+            if self.res is not None:
+                self.res[order[i], :, c] = x[i, :, c]
+        return ~run.any(axis=1)
+
+    def drop(self, done, *arrays):
+        """Move the running slices other than ``done`` to the front, in the
+        bookkeeping and in each of ``arrays``."""
+        na = self.order.size
+        self.order = self.order[~done]
+        for t in arrays + (self.active, self.obj0, self.limit):
+            t[:self.order.size] = t[:na][~done]
+
+    def finish(self, x):
+        """(the results, the report) once the loop ends, ``x`` as in :meth:`check`."""
+        run = self.active[:self.order.size]
+        if self.res is not None:
+            # slice by slice, so that no copy of all the running slices is made
+            for i, j in enumerate(self.order.tolist()):
+                self.res[j][:, run[i]] = x[i][:, run[i]]
+        report = SolverReport(
+            iterations=len(self.obj_trace),
+            objective_trace=self.obj_trace,
+            rel_change_trace=self.rel_trace,
+            wall_time_s=time.perf_counter() - self.t0,
+            converged=not run.any(),
+            column_iterations=self.iters.reshape(-1).tolist(),
+        )
+        return (x if self.res is None else self.res), report
+
+
+def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver):
+    """The outer loop of sb-tv and lista (ista and fista run in
+    :func:`_ista_matrix`).
+
+    Applies ``x = step(x, resid)`` from the given start; the step returns a
+    new array.  ``resid``, the residual y2d - a @ x over the columns of
+    ``x``, is formed once per iterate: it scores the iterate through
+    :func:`_objective` with ``lambda1`` and ``lambda2``, and the step reads
+    it but does not write it.  The objective has one value per problem: k
+    values pose k independent problems, the columns of ``x.reshape(-1,
+    k)``, iterated side by side (a volume is a batch of one) until all have
+    stopped (:class:`_Stops`, on :func:`_column_rel_change`) or for
+    ``max_outer`` steps.
     """
     resid = _residual(_columns(x), y2d, a)
     obj0 = _objective(x, resid, lambda1, lambda2)
     k = obj0.size
-    batch = np.ndim(lambda1) > 0
-    if measure is None:
-        def measure(x_new, x):
-            rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
-            resid = _residual(_columns(x_new), y2d, a)
-            return rel, resid, _objective(x_new, resid, lambda1, lambda2)
-    limit = _divergence_limit(obj0)
-    active = np.ones(k, dtype=bool)
-    iters = np.zeros(k, dtype=int)
-    # the results of stopped problems, allocated once some but not all have stopped
-    frozen = None
-    obj_trace = []
-    rel_trace = []
-    converged = False
-    t0 = time.perf_counter()
+    stops = _Stops(obj0.reshape(1, k), sigma, max_outer, solver, np.ndim(lambda1) > 0)
     for it in range(max_outer):
         x_new = step(x, resid)
         # released before the next residual is formed: one alive at a time
         resid = None
-        rel, resid, obj = measure(x_new, x)
+        rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
+        resid = _residual(_columns(x_new), y2d, a)
+        obj = _objective(x_new, resid, lambda1, lambda2)
         x = x_new
-        obj_trace.append(float(obj.sum()))
-        # stopped problems are still stepped but no longer traced, guarded or stopped
-        run = slice(None) if frozen is None else active
-        rel_trace.append(float(rel[run].max()))
-        stopped = _stopped(rel, obj, obj0, limit, sigma, it, solver,
-                           lambda j: ((f", column {j}", obj_trace, j) if batch else ("", obj_trace, None)), run)
-        if frozen is not None:
-            stopped &= active
-        if stopped.any():
-            iters[stopped] = it + 1
-            active &= ~stopped
-            if frozen is None and active.any():
-                frozen = np.empty_like(x)
-            if frozen is not None:
-                frozen.reshape(-1, k)[:, stopped] = x.reshape(-1, k)[:, stopped]
-            if not active.any():
-                converged = True
-                break
-    iters[active] = len(obj_trace)
-    if frozen is not None:
-        frozen.reshape(-1, k)[:, active] = x.reshape(-1, k)[:, active]
-        x = frozen
-    report = SolverReport(
-        iterations=len(obj_trace),
-        objective_trace=obj_trace,
-        rel_change_trace=rel_trace,
-        wall_time_s=time.perf_counter() - t0,
-        converged=converged,
-        column_iterations=iters.tolist(),
-    )
-    return x, report
-
-
-def _divergence_limit(obj0):
-    """Ten times each positive start objective, else the largest float, so
-    that a comparison with the limit also fails for inf and NaN."""
-    big = np.finfo(np.float64).max
-    with np.errstate(over="ignore"):
-        return np.where(obj0 > 0, np.minimum(10.0 * obj0, big), big)
-
-
-def _stopped(rel, obj, obj0, limit, sigma, it, solver, blame, run=slice(None)):
-    """rel < sigma, the problems that stop at iteration ``it``; but first a
-    DivergenceError if an objective among ``run`` is above its ``limit`` or
-    non-finite, with what ``blame(j)`` of the first such problem j gives."""
-    bounded = obj[run] <= limit[run]
-    if not bounded.all():
-        j = int(np.arange(obj.size)[run][np.argmin(bounded)])
-        why = f"exceeded 10x its initial value {obj0[j]:.3e}" if math.isfinite(obj[j]) else "is not finite"
-        where, trace, column = blame(j)
-        raise DivergenceError(f"{solver} at iteration {it}{where}: objective {obj[j]:.3e} {why}", trace, column)
-    return rel < sigma
+        if stops.check(it, rel.reshape(1, k), obj.reshape(1, k), x.reshape(1, -1, k)).all():
+            break
+    res, report = stops.finish(x.reshape(1, -1, k))
+    return res.reshape(x.shape), report
 
 
 def _residual(x, y2d, a):
@@ -351,8 +361,8 @@ def _objective(x, resid, lambda1, lambda2=None):
     TV runs along axis 0 alone.  ``lambda2`` None drops the TV term.
     """
     k = np.asarray(lambda1).size
-    value = 0.5 * _column_sums(np.abs(resid) ** 2, k)
-    value += lambda1 * _column_sums(np.abs(x), k)
+    value = 0.5 * (np.abs(resid) ** 2).reshape(-1, k).sum(axis=0)
+    value += lambda1 * np.abs(x).reshape(-1, k).sum(axis=0)
     if lambda2 is not None:
         x3 = x if x.ndim == 3 else x[:, :, None]
         buf = np.empty(x3.shape, dtype=x3.dtype)
@@ -362,11 +372,12 @@ def _objective(x, resid, lambda1, lambda2=None):
     return value
 
 
-# A volume of fewer voxels sweeps as one slab, and an ista/fista iterate or
-# light-tv's running slices of fewer entries iterate as one block: below it,
-# handing work to threads costs more than a second worker saves.  On a
-# 2-core host one sweep of 64x16x32 (2^15) voxels took 9-11 ms on one worker
-# and 8-11 ms on two, of 64x24x32 (3 * 2^14) 15-16 ms against 11-14 ms.
+# A volume of fewer voxels sweeps as one slab, and the running slices of an
+# ista/fista solve (one volume, or light-tv's stack) of fewer entries iterate
+# as one block: below it, handing work to threads costs more than a second
+# worker saves.  On a 2-core host one sweep of 64x16x32 (2^15) voxels took
+# 9-11 ms on one worker and 8-11 ms on two, of 64x24x32 (3 * 2^14) 15-16 ms
+# against 11-14 ms.
 SLAB_MIN_VOXELS = 3 << 14
 # The ufunc buffer size, in entries, of the work that runs on worker threads.
 _WORKER_BUFSIZE = 1024
@@ -428,147 +439,116 @@ def _data_fit(a, x, y, r, r2=None):
 
 
 def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
-    """Proximal-gradient solve on an (n_z, m) iterate.
+    """Proximal-gradient solve (ista, or fista's momentum) of one (n_e, m)
+    slice into an (n_z, m) iterate, or of an (s, n_e, m) stack of slices
+    into an (n_z, m, s) result.
 
-    With a fiber-batch config (per-column lambda1, see :func:`resolve_config`)
-    the columns are independent problems, each with threshold alpha *
-    lambda1 of its own and its own stop (:func:`_iterate`), so each column
-    matches its solo solve.  With a scalar lambda1 the columns form one
-    problem, with one stop on its whole relative change.  The objective
-    has no TV term.
+    A slice holds k = size(lambda1) problems: its columns under a
+    fiber-batch config (:func:`resolve_config`), else the whole slice.  Each
+    problem has its own threshold alpha * lambda1, stop and divergence guard
+    (:class:`_Stops`), so it matches its solo solve bit for bit; the
+    objective has no TV term.  A slice whose problems have all stopped
+    leaves the running slices at the front of the stack.
 
-    Each iteration runs on blocks of the iterate.  The gradient step, the
-    shrink, fista's momentum and the per-entry terms of the relative change
-    and the objective go by row blocks; the products A X and the per-entry
-    residual terms go by column blocks.  The caller's thread then sums the
-    per-entry terms of the whole iterate as :func:`_column_rel_change` and
-    :func:`_objective` do.  A single problem of at least ``SLAB_MIN_VOXELS``
-    entries has one block per worker (``worker_count()``), its rows cut on
-    multiples of 8 and its columns on multiples of 64, where each entry of
-    a block's product has the bits of the whole product; a fiber batch, a
-    smaller problem or a single worker is one block on the caller's thread.
-    So no byte depends on the worker count.
+    A single problem of at least ``SLAB_MIN_VOXELS`` entries runs each
+    phase on one block per worker: rows cut on multiples of 8 for the step,
+    shrink and per-entry terms, columns on multiples of 64 for A X, where a
+    block's product has the bits of the whole product.  Several running
+    slices of at least ``SLAB_MIN_VOXELS`` entries run one contiguous slice
+    group per worker, each taking its whole step.  Anything else is one
+    block on the caller's thread, which sums the per-entry terms, so no
+    byte depends on the worker count.
     """
     if variant not in ("ista", "fista"):
         raise ConfigurationError(f"unknown variant {variant!r}")
     fista = variant == "fista"
+    stack = y2d.ndim == 3
+    # the rows of a stack move as its slices stop, so it is copied
+    y = np.array(y2d, order="C") if stack else y2d[None]
     ah = a.conj().T
     alpha, lam = rcfg.alpha, rcfg.lambda1
-    theta = alpha * lam
-    k = np.size(lam)
-    (n_e, n_z), m = a.shape, y2d.shape[1]
-    n = 1 if k > 1 or n_z * m < SLAB_MIN_VOXELS else max(1, min(worker_count(), n_z // 8, m // 64))
+    theta, k = alpha * lam, np.size(lam)
+    (s, n_e, m), n_z = y.shape, a.shape[1]
+    # a stack's (n_z, m, s) result, which receives each slice as it stops;
+    # allocated before the work arrays, so that these leave one free span
+    out = np.empty((n_z, m, s), dtype=np.complex128) if stack else None
     # the work arrays of the solve, allocated once on the caller's thread
-    x0 = np.zeros((n_z, m), dtype=np.complex128)
-    nxt = np.empty_like(x0)
-    z = np.empty_like(x0) if fista else None
-    r = np.empty((n_e, m), dtype=np.complex128)
+    x = np.zeros((s, n_z, m), dtype=np.complex128)
+    nxt = np.empty_like(x)
+    z = np.empty_like(x) if fista else None
+    r = np.empty((s, n_e, m), dtype=np.complex128)
     rz = np.empty_like(r) if fista else None
-    r2 = np.empty((n_e, m))
-    dx2, mag, mag2 = np.empty((3, n_z, m))
-    work = np.empty(2 * n_z * m)
-    blocks = [(rows, cols, work[2 * m * rows.start:2 * m * rows.stop])
-              for rows, cols in zip(_cuts(n_z, n, 8), _cuts(m, n, 64))]
-    # what the block kernels of the current iteration read: the point the
-    # step starts from with its residual, the iterate and the array that
-    # receives the next one; and fista's t_k and momentum coefficient
-    start = resid_start = x_old = x_new = None
-    t_k, momentum = 1.0, 0.0
+    r2 = np.empty(r.shape)
+    dx2, mag, mag2 = np.zeros((3, s, n_z, m))
+    work = np.empty((s, n_z, 2 * m))
 
+    def sums(t, na):
+        return t[:na].reshape(na, -1, k).sum(axis=1)
+
+    def objective(na):
+        return 0.5 * sums(r2, na) + lam * sums(mag, na)
+
+    def blocks(na):
+        """The blocks (slices, rows, columns, work) of the running slices
+        y[:na], and whether they cut one problem into rows and columns."""
+        one = na * k == 1 and n_z * m >= SLAB_MIN_VOXELS
+        if one:
+            n = max(1, min(worker_count(), n_z // 8, m // 64))
+            cuts = [(slice(0, 1), rows, cols) for rows, cols in zip(_cuts(n_z, n, 8), _cuts(m, n, 64))]
+        else:
+            n = min(worker_count(), na) if na * n_z * m >= SLAB_MIN_VOXELS else 1
+            cuts = [(g, slice(None), slice(None)) for g in _cuts(na, n, 1)]
+        return [(g, rows, cols, work[g, rows].reshape(-1)) for g, rows, cols in cuts], one
+
+    # the phases of a step: each reads start and rstart, the point the step
+    # starts from and its residual, and writes the next iterate into nxt,
+    # taking nxt - x into x
     def momentum_residual(block):
-        cols = block[1]
-        _data_fit(a, z[:, cols], y2d[:, cols], rz[:, cols])
+        g, _, cols, _ = block
+        _data_fit(a, z[g, :, cols], y[g, :, cols], rz[g, :, cols])
 
     def descend(block):
-        rows, _, wk = block
-        _descend(ah[rows], resid_start, start[rows], x_new[rows], x_old[rows], dx2[rows], mag[rows], mag2[rows],
-                 wk, alpha, theta, z[rows] if fista else None, momentum)
+        g, rows, _, wk = block
+        _descend(ah[rows], rstart[g], start[g, rows], nxt[g, rows], x[g, rows], dx2[g, rows], mag[g, rows],
+                 mag2[g, rows], wk, alpha, theta, z[g, rows] if fista else None, momentum)
 
     def data_fit(block):
-        cols = block[1]
-        _data_fit(a, x_new[:, cols], y2d[:, cols], r[:, cols], r2[:, cols])
+        g, _, cols, _ = block
+        _data_fit(a, nxt[g, :, cols], y[g, :, cols], r[g, :, cols], r2[g, :, cols])
 
-    def step(x, resid):
-        nonlocal start, resid_start, x_old, x_new, nxt, t_k, momentum
-        # ista steps from the iterate, whose residual _iterate has formed;
-        # fista steps from the momentum point, the iterate only at the first
-        # step, the one with t_k = 1
-        if fista and t_k > 1.0:
-            _fan(momentum_residual, blocks)
-            start, resid_start = z, rz
-        else:
-            start, resid_start = x, resid
+    def whole_step(block):
+        for phase in phases:
+            phase(block)
+
+    _data_fit(a, x, y, r, r2)
+    stops = _Stops(objective(s), rcfg.sigma, rcfg.max_outer, variant, np.ndim(lam) > 0, stack,
+                   out.transpose(2, 0, 1).reshape(s, -1, k) if stack else None)
+    t_k, momentum = 1.0, 0.0
+    na = s
+    bl, one = blocks(na)
+    for it in range(rcfg.max_outer):
+        # ista steps from the iterate; fista steps from the momentum point,
+        # the iterate only at the first step, the one with t_k = 1
+        phases, start, rstart = [descend, data_fit], x, r
         if fista:
+            if t_k > 1.0:
+                phases, start, rstart = [momentum_residual] + phases, z, rz
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
             momentum = (t_k - 1.0) / t_next
             t_k = t_next
-        x_old, x_new = x, nxt
-        _fan(descend, blocks)
+        for fn in (phases if one else [whole_step]):
+            _fan(fn, bl)
         # the old iterate's array, spent, receives the next step
-        nxt = x
-        return x_new
-
-    def measure(*_):
-        # the step has left the per-entry terms of the relative change and
-        # of the l1 norm; these are the sums of _column_rel_change and
-        # _objective, in their order
-        _fan(data_fit, blocks)
-        obj = 0.5 * _column_sums(r2, k)
-        obj += lam * _column_sums(mag, k)
-        return _rel_change(_column_sums(dx2, k), _column_sums(mag2, k)), r, obj
-
-    return _iterate(step, x0, y2d, a, lam, None, rcfg.sigma, rcfg.max_outer, variant, measure)
-
-
-def _ista_slices(y3, a, rcfg: ResolvedConfig):
-    """ISTA on each frontal slice ``y3[:, :, k]``: the (n_z, m, n) results
-    and whether each converged, bit for bit as :func:`_ista_matrix` alone.
-    The running slices, each stopped and guarded alone, iterate as one stack
-    at its front, one group per worker from ``SLAB_MIN_VOXELS`` entries."""
-    n_z, (m, n) = a.shape[1], y3.shape[1:]
-    ah, alpha, theta = a.conj().T, rcfg.alpha, rcfg.alpha * rcfg.lambda1
-    y = np.ascontiguousarray(y3.transpose(2, 0, 1))
-    r, r2 = np.empty_like(y), np.empty(y.shape)
-    x, nxt = np.zeros((2, n, n_z, m), dtype=np.complex128)
-    dx2, mag, mag2 = np.zeros((3, n, n_z, m))
-    work = np.empty((n, 2 * n_z * m))
-    out, converged = np.empty((n_z, m, n), dtype=np.complex128), np.zeros(n, dtype=bool)
-    # the slice at each position of the running front; each slice's objectives
-    order, traces = np.arange(n), [[] for _ in range(n)]
-
-    def sums(t):
-        return t[:order.size].reshape(order.size, -1).sum(axis=1)
-
-    def objective():
-        return 0.5 * sums(r2) + rcfg.lambda1 * sums(mag)
-
-    def advance(group):
-        _descend(ah, r[group], x[group], nxt[group], x[group], dx2[group], mag[group], mag2[group],
-                 work[group].reshape(-1), alpha, theta)
-        _data_fit(a, nxt[group], y[group], r[group], r2[group])
-
-    _data_fit(a, x, y, r, r2)
-    obj0 = objective()
-    limit = _divergence_limit(obj0)
-    for it in range(rcfg.max_outer):
-        na = order.size
-        _fan(advance, _cuts(na, min(worker_count(), na) if na * n_z * m >= SLAB_MIN_VOXELS else 1, 1))
         x, nxt = nxt, x
-        obj = objective()
-        for j, v in zip(order.tolist(), obj.tolist()):
-            traces[j].append(v)
-        stopped = _stopped(_rel_change(sums(dx2), sums(mag2)), obj, obj0, limit, rcfg.sigma, it, "ista",
-                           lambda i: (f", slice {order[i]}", traces[order[i]], None))
-        if stopped.any():
-            out[:, :, order[stopped]] = x[:na][stopped].transpose(1, 2, 0)
-            converged[order[stopped]] = True
-            order, obj0, limit = order[~stopped], obj0[~stopped], limit[~stopped]
-            for t in (x, r, y):
-                t[:order.size] = t[:na][~stopped]
-            if not order.size:
-                break
-    out[:, :, order] = x[:order.size].transpose(1, 2, 0)
-    return out, converged
+        done = stops.check(it, _rel_change(sums(dx2, na), sums(mag2, na)), objective(na), x.reshape(s, -1, k))
+        if done.all():
+            break
+        if done.any():
+            stops.drop(done, x, r, y, *([z] if fista else []))
+            na = stops.order.size
+            bl, one = blocks(na)
+    res, report = stops.finish(x.reshape(s, -1, k))
+    return (out if stack else res.reshape(x.shape)[0]), report
 
 
 def ista_fiber(y, a, cfg: SolverConfig | None = None, variant="ista"):
@@ -601,27 +581,38 @@ def _sweep_buffers(dims, batch_axis=None):
 
     Returns (anchor, scratch, slabs).  The sweep cuts the update of each
     axis into ``worker_count()`` slabs along ``_SLAB_CUT``, one for a fiber
-    batch or a volume below ``SLAB_MIN_VOXELS``.  ``slabs[k][ax]`` is
-    (index, p, d, h, du, work): the index of slab k of axis ``ax``'s update,
-    four contiguous work arrays of its shape, and ``work``, the float view
-    of ``h`` that the shrinks use.  Slab k's arrays lie in one segment of
-    four flat buffers, so ``scratch``, a volume-shaped view of the d buffer,
-    is free between sweeps.
+    batch or a volume below ``SLAB_MIN_VOXELS``.  ``slabs[k]`` holds one
+    (index, p, d, h, du, work, ax) per updated axis ax: the index of slab k
+    of that axis's update, four contiguous work arrays of its shape,
+    ``work``, the float view of ``h`` that the shrinks use, and ax.  A fiber
+    batch updates no ``batch_axis``: D is zero across it as along axis 2, of
+    extent 1, so axis 2's update serves both (:func:`_per_axis`).  Slab
+    k's arrays lie in one segment of four flat buffers, so ``scratch``, a
+    volume-shaped view of the d buffer, is free between sweeps.
     """
     anchor = np.empty(dims, dtype=np.complex128)
     n = 1 if batch_axis is not None or anchor.size < SLAB_MIN_VOXELS else min(worker_count(), *dims[:2])
-    indices = [[(slice(None),) * c + (slice(k * dims[c] // n, (k + 1) * dims[c] // n),) for c in _SLAB_CUT]
+    axes = [ax for ax in range(3) if ax != batch_axis]
+    cuts = [_SLAB_CUT[ax] for ax in axes]
+    indices = [[(slice(None),) * c + (slice(k * dims[c] // n, (k + 1) * dims[c] // n),) for c in cuts]
                for k in range(n)]
     sizes = [max(anchor[i].size for i in slab) for slab in indices]
     flat = [np.empty(sum(sizes), dtype=np.complex128) for _ in range(4)]
     slabs = []
     for slab, off in zip(indices, np.cumsum([0] + sizes)):
         work = []
-        for i in slab:
+        for ax, i in zip(axes, slab):
             p, d, h, du = (f[off:off + anchor[i].size].reshape(anchor[i].shape) for f in flat)
-            work.append((i, p, d, h, du, h.view(np.float64).reshape(-1)))
+            work.append((i, p, d, h, du, h.view(np.float64).reshape(-1), ax))
         slabs.append(work)
     return anchor, flat[1][:anchor.size].reshape(dims), slabs
+
+
+def _per_axis(make, batch):
+    """One array ``make()`` per tensor axis, for :func:`_split_sweep`; a
+    fiber batch's axis 1 shares axis 2's array, whose update serves both."""
+    arrays = [make() for _ in range(2 if batch else 3)]
+    return arrays + arrays[1:] if batch else arrays
 
 
 def _as_volume(t, rows=None):
@@ -641,13 +632,7 @@ def _as_volume(t, rows=None):
     return t, t3, batch
 
 
-def _no_diff(t, axis, out):
-    """The zero difference across the batch axis of a fiber batch."""
-    out.fill(0)
-    return out
-
-
-def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau2, inner_iters, batch_axis=None):
+def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau2, inner_iters):
     """One per-axis split-Bregman sweep; returns the consensus iterate.
 
     For each tensor axis: ``inner_iters`` proximal-descent steps on
@@ -667,9 +652,11 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
     k slab k of every axis.  Every entry sees the same operations in the
     same order for any slab count, so the result does not depend on it.
 
-    Fibers side by side along ``batch_axis`` are independent problems: D is
-    zero across that axis, as along an axis of extent 1, and lambda1 and
-    lambda2 may be arrays that broadcast one value per fiber.
+    Fibers side by side along axis 1 (a fiber batch, whose axis 2 has
+    extent 1) are independent problems: D is zero across axis 1 as along
+    axis 2, so the two axes share their arrays and one update
+    (:func:`_per_axis`), and lambda1 and lambda2 may be arrays that
+    broadcast one value per fiber.
     """
     anchor, _, slabs = bufs
     # tau1 * p0 / alpha; with c1 = tau1 * mu below, p holds tau1 * p
@@ -681,23 +668,22 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
     th1, th2 = lambda1 * tau1, lambda2 * tau2
     shrink_u = np.any(lambda1)
 
-    def update(ax, index, p, d, h, du, work):
+    def update(index, p, d, h, du, work, ax):
         u, w, b = u_i[ax][index], v_i[ax][index], b_i[ax][index]
-        diff, diff_adjoint = (_no_diff, _no_diff) if ax == batch_axis else (tensor.diff, tensor.diff_adjoint)
         # p = tau1 * (p0 / alpha + mu * D^T (v - b))
-        diff_adjoint(np.subtract(w, b, out=d), ax, out=p)
+        tensor.diff_adjoint(np.subtract(w, b, out=d), ax, out=p)
         np.multiply(c1, p, out=p)
         np.add(anchor[index], p, out=p)
         for _ in range(inner_iters):
             # u = u - tau1 * (u / alpha + mu * D^T D u - p) = c0 * u - c1 * D^T D u + tau1 * p
-            diff_adjoint(diff(u, ax, out=d), ax, out=h)
+            tensor.diff_adjoint(tensor.diff(u, ax, out=d), ax, out=h)
             np.multiply(c1, h, out=h)
             np.multiply(c0, u, out=u)
             np.subtract(u, h, out=u)
             np.add(u, p, out=u)
             if shrink_u:
                 soft_threshold(u, th1, out=u, work=work)
-        diff(u, ax, out=du)
+        tensor.diff(u, ax, out=du)
         if exact:
             # the exact minimiser of the v-subproblem, whatever w is
             soft_threshold(np.add(du, b, out=w), th2, out=w, work=work)
@@ -714,8 +700,8 @@ def _split_sweep(p0, u_i, v_i, b_i, bufs, alpha, lambda1, lambda2, mu, tau1, tau
         np.subtract(b, w, out=b)
 
     def sweep(slab):
-        for ax, work in enumerate(slab):
-            update(ax, *work)
+        for work in slab:
+            update(*work)
 
     run_indexed(functools.partial(_in_small_buffers, sweep), slabs, workers=len(slabs))
     x = np.add(u_i[0], u_i[1])
@@ -750,10 +736,9 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
     dims = (a.shape[1], y3.shape[1], y3.shape[2])
     rcfg = resolve_config(cfg, a, y, alpha_factor=1.8)
     # a batch's fibers lie side by side along axis 1, one threshold each
-    batch_axis = 1 if batch else None
     lam1, lam2 = (np.reshape(lam, (1, -1, 1)) if batch else lam for lam in (rcfg.lambda1, rcfg.lambda2))
-    x_i, v_i, b_i = ([np.zeros(dims, dtype=np.complex128) for _ in range(3)] for _ in range(3))
-    bufs = _sweep_buffers(dims, batch_axis)
+    x_i, v_i, b_i = (_per_axis(lambda: np.zeros(dims, dtype=np.complex128), batch) for _ in range(3))
+    bufs = _sweep_buffers(dims, 1 if batch else None)
     gap_trace = None if batch else []
 
     def step(x, resid):
@@ -763,7 +748,7 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
         np.add(x, z, out=z)
         x_new = _split_sweep(
             z, x_i, v_i, b_i, bufs, rcfg.alpha, lam1, lam2,
-            rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters, batch_axis=batch_axis,
+            rcfg.mu, rcfg.tau1, rcfg.tau2, rcfg.inner_iters,
         )
         if not batch:
             d = bufs[1]
@@ -788,7 +773,9 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0):
 
     lambda2 = 0 (or an already TV-free input) returns the input unchanged.
     ``inner_iters`` counts the u-descent steps per pass; the TV split
-    variable, with tau2 = 1 / mu, takes one exact shrink per pass.
+    variable, with tau2 = 1 / mu, takes one exact shrink per pass.  Unless
+    lambda2 is finite and >= 0, mu finite and > 0 and inner_iters a whole
+    number >= 1, a ConfigurationError names the knob, whatever the input.
 
     A 2-D ``x`` is an (n_z, m) batch of fibers, one per column, each
     denoised along its length as its solo call on ``x[:, j].reshape(-1, 1,
@@ -796,8 +783,8 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0):
     fiber with lambda2 = 0 or no variation is returned unchanged.
     """
     x, x3, batch = _as_volume(x)
-    if np.any(np.asarray(lambda2) < 0):
-        raise ConfigurationError(f"lambda2 must be >= 0, got {lambda2}")
+    lambda2, mu = _knob("lambda2", lambda2, positive=False), _knob("mu", mu)
+    inner_iters = _count("inner_iters", inner_iters)
     if batch:
         lam = np.broadcast_to(np.asarray(lambda2, dtype=np.float64), x.shape[1:])
         keep = (lam != 0.0) & np.any(tensor.diff(x3, 0), axis=(0, 2))
@@ -805,19 +792,14 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0):
         keep = lambda2 != 0.0 and tensor.tv_norm(x) != 0.0
     if not np.any(keep):
         return x.copy()
-    if inner_iters < 1 or mu <= 0:
-        raise ConfigurationError("inner_iters must be >= 1 and mu > 0")
     tau1 = 1.0 / (1.0 + 8.0 * mu)
     tau2 = 1.0 / mu
     # a batch denoises only its kept fibers, side by side along axis 1
     p0, lam = (x3[:, keep], lam[keep].reshape(1, -1, 1)) if batch else (x, lambda2)
-    u_i = [p0.copy() for _ in range(3)]
-    v_i = [np.zeros_like(p0) for _ in range(3)]
-    b_i = [np.zeros_like(p0) for _ in range(3)]
-    batch_axis = 1 if batch else None
-    bufs = _sweep_buffers(p0.shape, batch_axis)
-    sweep = functools.partial(_split_sweep, p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters,
-                              batch_axis=batch_axis)
+    u_i = _per_axis(p0.copy, batch)
+    v_i, b_i = (_per_axis(lambda: np.zeros_like(p0), batch) for _ in range(2))
+    bufs = _sweep_buffers(p0.shape, 1 if batch else None)
+    sweep = functools.partial(_split_sweep, p0, u_i, v_i, b_i, bufs, 1.0, 0.0, lam, mu, tau1, tau2, inner_iters)
     # only the last pass's consensus is kept, so one is alive at a time
     for _ in range(9):
         sweep()
@@ -835,25 +817,21 @@ def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None):
 
     The config is resolved once against the whole echo tensor so all slices
     share the same thresholds.  Each slice is its own problem with its own
-    stop, and the slices are solved as one stack on the worker threads
-    (:func:`_ista_slices`).  Returns (tensor, report); the report's
-    two-entry traces cover the assembly stage and the enhancement stage.
+    stop, and the slices are solved as one stack of :func:`_ista_matrix`.
+    Returns (tensor, report); the report's two-entry traces cover the
+    assembly stage and the enhancement stage.
 
     A 2-D echo is instead an (n_e, m) batch of independent fibers, one per
-    column, solved as one slice and returned as an (n_z, m) array: each
-    fiber gets the config (:func:`resolve_config`) and the ISTA stop of its
-    solo solve as ``y[:, j].reshape(-1, 1, 1)``; the report's traces then
-    keep, per stage, the objective summed over the fibers and the largest
-    relative change among them, as :func:`_iterate` does.
+    column, solved as one slice of :func:`_ista_matrix` and returned as an
+    (n_z, m) array: each fiber gets the config (:func:`resolve_config`) and
+    the ISTA stop of its solo solve as ``y[:, j].reshape(-1, 1, 1)``; the
+    report's traces then keep, per stage, the objective summed over the
+    fibers and the largest relative change among them.
     """
     y, y3, batch = _as_volume(y, a.shape[0])
     rcfg = resolve_config(cfg, a, y)
     t0 = time.perf_counter()
-    if batch:
-        x, ista_report = _ista_matrix(y, a, rcfg)
-        converged = ista_report.converged
-    else:
-        x, converged = _ista_slices(y3, a, rcfg)
+    x, ista_report = _ista_matrix(y if batch else y3.transpose(2, 0, 1), a, rcfg)
     x_enh = tv_denoise_enhance(x, rcfg.lambda2, inner_iters=rcfg.inner_iters, mu=rcfg.mu)
     k = np.size(rcfg.lambda1)
     stages = ((np.zeros_like(x), x), (x, x_enh))
@@ -865,7 +843,7 @@ def light_reconstruct_enhance(y, a, cfg: SolverConfig | None = None):
         ],
         rel_change_trace=[float(_column_rel_change(t.reshape(-1, k), t0.reshape(-1, k)).max()) for t0, t in stages],
         wall_time_s=time.perf_counter() - t0,
-        converged=bool(np.all(converged)),
+        converged=ista_report.converged,
     )
     return x_enh, report
 
@@ -972,9 +950,12 @@ def _lista_gradient(y2d, x2d, a, params: LearnedIstaParams, tape):
         np.subtract(on, s, out=s)
         g_z = np.multiply(g, s, out=g)
         np.add(g_z, u, out=g_z)
+        # dropped before the products below, so that fewer arrays are alive at once
+        del mag, on, inv, u, radial, s
         # d_k from x_k = S(z_{k-1}, theta_{k-1}), and x_0 = 0
         d = ah @ (_residual(soft_threshold(tape[k - 1], params.theta[k - 1]), y2d, a) if k else y2d)
         grad[k] = np.sum(_real_inner(g_z, d))
+        del d
         if k:
             h = ah @ (a @ g_z)
             g = np.subtract(g_z, np.multiply(alpha, h, out=h), out=g_z)

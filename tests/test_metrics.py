@@ -153,6 +153,9 @@ class TestNearestNeighbors:
         "queries on the reference": (np.vstack([line, line[::7] + 1e-9]), line),
         "lattice 1% to 30%": (lattice(0.01, 61), lattice(0.30, 62)),
         "lattice 30% to 1%": (lattice(0.30, 63), lattice(0.01, 64)),
+        # far queries stop after a few rings once the bound counts the distance to the box on every axis
+        "lattice queries 1e6 away along one axis": (lattice(0.03, 65) + [0, 1e6, 0], lattice(0.03, 66)),
+        "lattice queries 1e6 away along all axes": (lattice(0.03, 67) + 1e6, lattice(0.03, 68)),
         # 70 000 queries: more than one chunk of query-cell pairs at every ring
         "more than one chunk": (rng.uniform(-1, 11, (70_000, 3)), rng.uniform(0, 10, (50, 3))),
     }

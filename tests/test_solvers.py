@@ -774,6 +774,20 @@ class TestTvDenoise:
         with pytest.raises(ConfigurationError):
             tv_denoise_enhance(np.ones((2, 2, 2), dtype=complex), -0.1)
 
+    @pytest.mark.parametrize("knob, value, message", [
+        ("lambda2", math.nan, "lambda2 must be finite and >= 0, got nan"),
+        ("lambda2", math.inf, "lambda2 must be finite and >= 0, got inf"),
+        ("mu", math.nan, "mu must be finite and positive, got nan"),
+        ("mu", 0.0, "mu must be finite and positive, got 0.0"),
+        ("inner_iters", 0, "inner_iters must be >= 1, got 0"),
+        ("inner_iters", 1.5, "inner_iters must be a whole number, got 1.5"),
+    ])
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (4, 3)], ids=["volume", "batch"])
+    def test_knob_rejected_by_name_before_the_early_return(self, knob, value, message, shape):
+        # a constant input, or lambda2 = 0, would be returned unchanged
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            tv_denoise_enhance(np.ones(shape, dtype=complex), **{"lambda2": 0.0, knob: value})
+
 
 class TestLightReconstruct:
     def test_lambda2_zero_equals_slice_assembly(self):
@@ -818,11 +832,12 @@ class TestLightReconstruct:
         assert np.array_equal(x, tv_denoise_enhance(stage, rcfg.lambda2, rcfg.inner_iters, mu=4.0))
         assert not np.array_equal(x, light_reconstruct_enhance(y, a)[0])
 
-    def test_stacked_slices_match_their_solo_solves(self, monkeypatch):
+    @pytest.mark.parametrize("variant, max_outer", [("ista", 34), ("fista", 60)], ids=["ista", "fista"])
+    def test_stacked_slices_match_their_solo_solves(self, variant, max_outer, monkeypatch):
         # 13 slices of 64x64, above the slab constant and cut unevenly by 2
         # and 3 workers; slice 4 is all zero and stops at iteration 1, and
         # the others stop at different iterations or run to max_outer, so
-        # the stack is compacted several times
+        # the stack, with fista's momentum point, is compacted several times
         a = build_steering_matrix(default_geometry())
         r = np.random.default_rng(41)
         n_z, m, n = a.shape[1], 64, 13
@@ -834,13 +849,13 @@ class TestLightReconstruct:
         y = forward(a, x)
         y += 0.05 * (r.standard_normal(y.shape) + 1j * r.standard_normal(y.shape))
         y[:, :, 4] = 0
-        rcfg = resolve_config(SolverConfig(sigma=1e-4, max_outer=34), a, y)
-        solo = [_ista_matrix(y[:, :, k], a, rcfg) for k in range(n)]
+        rcfg = resolve_config(SolverConfig(sigma=1e-4, max_outer=max_outer), a, y)
+        solo = [_ista_matrix(y[:, :, k], a, rcfg, variant) for k in range(n)]
         iterations = [report.iterations for _, report in solo]
         assert iterations[4] == 1
         assert len(set(iterations)) > 3
-        converged = np.array([report.converged for _, report in solo])
-        assert not converged.all()
+        assert not all(report.converged for _, report in solo)
+        assert max_outer in iterations
         expect = np.stack([xk for xk, _ in solo], axis=2)
         fanned = []
         real_run_indexed = solvers.run_indexed
@@ -854,9 +869,10 @@ class TestLightReconstruct:
         for threads in (1, 2, 3):
             monkeypatch.setenv("TOMOSAR_THREADS", str(threads))
             fanned.clear()
-            xs, conv = solvers._ista_slices(y, a, rcfg)
+            xs, report = _ista_matrix(y.transpose(2, 0, 1), a, rcfg, variant)
             assert xs.tobytes() == expect.tobytes()
-            assert np.array_equal(conv, converged)
+            assert report.column_iterations == iterations
+            assert not report.converged
             assert fanned[:1] == ([] if threads == 1 else [threads])
 
     def test_diverging_slice_is_named_while_the_others_run(self):
