@@ -14,6 +14,7 @@ anisotropic 3D total variation of :func:`tomosar.tensor.tv_norm`.
 """
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -88,12 +89,12 @@ def _knob(name, v, positive=True):
     return vals if vals.ndim else float(v)
 
 
-def _count(name, v):
-    """v as an int; ConfigurationError naming the knob unless it is a whole number >= 1."""
+def _count(name, v, least=1):
+    """v as an int; ConfigurationError naming the knob unless it is a whole number >= ``least``."""
     if not float(v).is_integer():
         raise ConfigurationError(f"{name} must be a whole number, got {v!r}")
-    if v < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {v!r}")
+    if v < least:
+        raise ConfigurationError(f"{name} must be >= {least}, got {v!r}")
     return int(v)
 
 
@@ -216,8 +217,8 @@ def _columns(t):
 
 class _Stops:
     """The stops of the k problems of each of s slices, the running slices
-    at the front (slice order[i] at position i), for :func:`_iterate` and
-    :func:`_ista_matrix`.
+    at the front (slice order[i] at position i), for the loops of
+    :func:`_ista_matrix` and :func:`split_bregman_l1tv`.
 
     A problem stops once its relative change drops below ``sigma``, its
     value from that iteration going to ``res`` (s, entries, k), allocated,
@@ -297,58 +298,21 @@ class _Stops:
         return (x if self.res is None else self.res), report
 
 
-def _iterate(step, x, y2d, a, lambda1, lambda2, sigma, max_outer, solver):
-    """The outer loop of sb-tv and lista (ista and fista run in
-    :func:`_ista_matrix`).
-
-    Applies ``x = step(x, resid)`` from the given start; the step returns a
-    new array.  ``resid``, the residual y2d - a @ x over the columns of
-    ``x``, is formed once per iterate: it scores the iterate through
-    :func:`_objective` with ``lambda1`` and ``lambda2``, and the step reads
-    it but does not write it.  The objective has one value per problem: k
-    values pose k independent problems, the columns of ``x.reshape(-1,
-    k)``, iterated side by side (a volume is a batch of one) until all have
-    stopped (:class:`_Stops`, on :func:`_column_rel_change`) or for
-    ``max_outer`` steps.
-    """
-    resid = _residual(_columns(x), y2d, a)
-    obj0 = _objective(x, resid, lambda1, lambda2)
-    k = obj0.size
-    stops = _Stops(obj0.reshape(1, k), sigma, max_outer, solver, np.ndim(lambda1) > 0)
-    for it in range(max_outer):
-        x_new = step(x, resid)
-        # released before the next residual is formed: one alive at a time
-        resid = None
-        rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
-        resid = _residual(_columns(x_new), y2d, a)
-        obj = _objective(x_new, resid, lambda1, lambda2)
-        x = x_new
-        if stops.check(it, rel.reshape(1, k), obj.reshape(1, k), x.reshape(1, -1, k)).all():
-            break
-    res, report = stops.finish(x.reshape(1, -1, k))
-    return res.reshape(x.shape), report
-
-
 def _residual(x, y2d, a):
     """y2d - a @ x, written into the product."""
     r = a @ x
     return np.subtract(y2d, r, out=r)
 
 
-def _gradient_step(x, y2d, a, ah, alpha, resid=None):
-    """x + alpha * ah @ (y2d - a @ x), a new array: one gradient step on the data term.
-
-    ``resid``, if given, is ``y2d - a @ x`` already computed for this ``x``;
-    it is read, not written.
-    """
-    if resid is None:
-        resid = _residual(x, y2d, a)
+def _gradient_step(x, y2d, a, ah, alpha):
+    """x + alpha * ah @ (y2d - a @ x), a new array: one gradient step on the data term."""
+    resid = _residual(x, y2d, a)
     g = ah @ resid
     np.multiply(alpha, g, out=g)
     return np.add(x, g, out=g)
 
 
-def _objective(x, resid, lambda1, lambda2=None):
+def _objective(x, resid, lambda1, lambda2):
     """1/2 ||Y - A X||_F^2 + lambda1 ||X||_1 + lambda2 TV(X) of each problem
     of a batch, from the residual ``resid`` = Y - A X; an array of k values.
 
@@ -358,17 +322,16 @@ def _objective(x, resid, lambda1, lambda2=None):
     a volume (or a slice, or one fiber), whose TV is that of
     :func:`tomosar.tensor.tv_norm` on x viewed as an order-3 tensor; the
     problems of a larger batch are fibers side by side along axis 1, whose
-    TV runs along axis 0 alone.  ``lambda2`` None drops the TV term.
+    TV runs along axis 0 alone.
     """
     k = np.asarray(lambda1).size
     value = 0.5 * (np.abs(resid) ** 2).reshape(-1, k).sum(axis=0)
     value += lambda1 * np.abs(x).reshape(-1, k).sum(axis=0)
-    if lambda2 is not None:
-        x3 = x if x.ndim == 3 else x[:, :, None]
-        buf = np.empty(x3.shape, dtype=x3.dtype)
-        tv = sum(np.abs(tensor.diff(x3, ax, out=buf)).reshape(-1, k).sum(axis=0)
-                 for ax in (range(3) if k == 1 else [0]))
-        value += lambda2 * tv
+    x3 = x if x.ndim == 3 else x[:, :, None]
+    buf = np.empty(x3.shape, dtype=x3.dtype)
+    tv = sum(np.abs(tensor.diff(x3, ax, out=buf)).reshape(-1, k).sum(axis=0)
+             for ax in (range(3) if k == 1 else [0]))
+    value += lambda2 * tv
     return value
 
 
@@ -438,17 +401,24 @@ def _data_fit(a, x, y, r, r2=None):
         np.square(r2, out=r2)
 
 
-def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
-    """Proximal-gradient solve (ista, or fista's momentum) of one (n_e, m)
-    slice into an (n_z, m) iterate, or of an (s, n_e, m) stack of slices
-    into an (n_z, m, s) result.
+def _ista_matrix(y2d, a, rcfg, variant="ista", batch=False):
+    """Proximal-gradient solve (ista, fista's momentum, or lista's unrolled
+    blocks) of one (n_e, m) slice into an (n_z, m) iterate, or of an
+    (s, n_e, m) stack of slices into an (n_z, m, s) result.
+
+    ista and fista take the step alpha and the threshold alpha * lambda1 of
+    ``rcfg``, a :class:`ResolvedConfig`, at every iteration.  lista takes
+    block k's of ``rcfg``, a :class:`LearnedIstaParams`, at iteration k, for
+    all its blocks: its objective is the data term alone (lambda1 = 0 for
+    each problem), it never stops early (sigma = 0), and its report says
+    converged, since a network that has run all its blocks is complete.
 
     A slice holds k = size(lambda1) problems: its columns under a
-    fiber-batch config (:func:`resolve_config`), else the whole slice.  Each
-    problem has its own threshold alpha * lambda1, stop and divergence guard
-    (:class:`_Stops`), so it matches its solo solve bit for bit; the
-    objective has no TV term.  A slice whose problems have all stopped
-    leaves the running slices at the front of the stack.
+    fiber-batch config (:func:`resolve_config`) or a lista ``batch``, else
+    the whole slice.  Each problem has its own threshold, stop and
+    divergence guard (:class:`_Stops`), so it matches its solo solve bit
+    for bit; the objective has no TV term.  A slice whose problems have all
+    stopped leaves the running slices at the front of the stack.
 
     A single problem of at least ``SLAB_MIN_VOXELS`` entries runs each
     phase on one block per worker: rows cut on multiples of 8 for the step,
@@ -459,16 +429,22 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
     block on the caller's thread, which sums the per-entry terms, so no
     byte depends on the worker count.
     """
-    if variant not in ("ista", "fista"):
+    learned = isinstance(rcfg, LearnedIstaParams)
+    if variant not in (("lista",) if learned else ("ista", "fista")):
         raise ConfigurationError(f"unknown variant {variant!r}")
     fista = variant == "fista"
     stack = y2d.ndim == 3
     # the rows of a stack move as its slices stop, so it is copied
     y = np.array(y2d, order="C") if stack else y2d[None]
     ah = a.conj().T
-    alpha, lam = rcfg.alpha, rcfg.lambda1
-    theta, k = alpha * lam, np.size(lam)
     (s, n_e, m), n_z = y.shape, a.shape[1]
+    if learned:
+        lam, sigma, max_outer = (np.zeros(m) if batch else 0.0), 0.0, rcfg.blocks
+        steps = zip(rcfg.alpha, rcfg.theta)
+    else:
+        lam, sigma, max_outer = rcfg.lambda1, rcfg.sigma, rcfg.max_outer
+        steps = itertools.repeat((rcfg.alpha, rcfg.alpha * lam), max_outer)
+    k = np.size(lam)
     # a stack's (n_z, m, s) result, which receives each slice as it stops;
     # allocated before the work arrays, so that these leave one free span
     out = np.empty((n_z, m, s), dtype=np.complex128) if stack else None
@@ -521,12 +497,12 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
             phase(block)
 
     _data_fit(a, x, y, r, r2)
-    stops = _Stops(objective(s), rcfg.sigma, rcfg.max_outer, variant, np.ndim(lam) > 0, stack,
+    stops = _Stops(objective(s), sigma, max_outer, variant, np.ndim(lam) > 0, stack,
                    out.transpose(2, 0, 1).reshape(s, -1, k) if stack else None)
     t_k, momentum = 1.0, 0.0
     na = s
     bl, one = blocks(na)
-    for it in range(rcfg.max_outer):
+    for it, (alpha, theta) in enumerate(steps):
         # ista steps from the iterate; fista steps from the momentum point,
         # the iterate only at the first step, the one with t_k = 1
         phases, start, rstart = [descend, data_fit], x, r
@@ -548,6 +524,8 @@ def _ista_matrix(y2d, a, rcfg: ResolvedConfig, variant="ista"):
             na = stops.order.size
             bl, one = blocks(na)
     res, report = stops.finish(x.reshape(s, -1, k))
+    if learned:
+        report.converged = True
     return (out if stack else res.reshape(x.shape)[0]), report
 
 
@@ -728,7 +706,7 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
     A 2-D echo is instead an (n_e, m) batch of independent fibers, one per
     column, solved in one run and returned as an (n_z, m) array.  Each
     column gets the config (:func:`resolve_config`), the operations and the
-    stop (:func:`_iterate`) of its solo solve as ``y[:, j].reshape(-1, 1,
+    stop (:class:`_Stops`) of its solo solve as ``y[:, j].reshape(-1, 1,
     1)``, and so its result up to rounding; a batch report has no
     feasibility-gap trace.
     """
@@ -740,8 +718,12 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
     x_i, v_i, b_i = (_per_axis(lambda: np.zeros(dims, dtype=np.complex128), batch) for _ in range(3))
     bufs = _sweep_buffers(dims, 1 if batch else None)
     gap_trace = None if batch else []
-
-    def step(x, resid):
+    y2d, k = _columns(y), np.size(rcfg.lambda1)
+    x = np.zeros(dims, dtype=np.complex128)
+    resid = _residual(_columns(x), y2d, a)
+    obj0 = _objective(x, resid, rcfg.lambda1, rcfg.lambda2)
+    stops = _Stops(obj0.reshape(1, k), rcfg.sigma, rcfg.max_outer, "sb-tv", batch)
+    for it in range(rcfg.max_outer):
         # z = x + alpha * A^H (y - A x)
         z = adjoint(a, resid.reshape(y3.shape))
         np.multiply(rcfg.alpha, z, out=z)
@@ -755,13 +737,17 @@ def split_bregman_l1tv(y, a, cfg: SolverConfig | None = None):
             gap_trace.append(sum(
                 tensor.frobenius(np.subtract(tensor.diff(x_i[ax], ax, out=d), v_i[ax], out=d)) for ax in range(3)
             ))
-        return x_new
-
-    x, report = _iterate(
-        step, np.zeros(dims, dtype=np.complex128), _columns(y), a,
-        rcfg.lambda1, rcfg.lambda2, rcfg.sigma, rcfg.max_outer, "sb-tv",
-    )
+        # released before the next residual is formed: one alive at a time
+        z = resid = None
+        rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
+        resid = _residual(_columns(x_new), y2d, a)
+        obj = _objective(x_new, resid, rcfg.lambda1, rcfg.lambda2)
+        x = x_new
+        if stops.check(it, rel.reshape(1, k), obj.reshape(1, k), x.reshape(1, -1, k)).all():
+            break
+    x, report = stops.finish(x.reshape(1, -1, k))
     report.feasibility_gap_trace = gap_trace
+    x = x.reshape(dims)
     return (x[:, :, 0] if batch else x), report
 
 
@@ -990,10 +976,7 @@ def lista_train(a, dataset, k_blocks=9, epochs=200, lr=0.1, seed=0):
             f"echo fibers of length {y2d.shape[0]} and truth fibers of length {x2d.shape[0]}"
             f" do not match the {a.shape[0]}x{a.shape[1]} matrix"
         )
-    if k_blocks < 1:
-        raise ConfigurationError("k_blocks must be >= 1")
-    if epochs < 0:
-        raise ConfigurationError("epochs must be >= 0")
+    k_blocks, epochs = _count("k_blocks", k_blocks), _count("epochs", epochs, least=0)
     if not (math.isfinite(lr) and lr > 0):
         raise ConfigurationError(f"lr must be finite and positive, got {lr!r}")
 
@@ -1041,7 +1024,10 @@ def reconstruct_tensor(y, a, method, cfg: SolverConfig | None = None, lista_para
     """Dispatch an echo to one reconstruction method.
 
     Methods: "ista" / "fista" (the fibers of a volume share one threshold),
-    "sb-tv", "light-tv", "lista" (requires ``lista_params``).
+    "sb-tv", "light-tv", "lista" (requires ``lista_params``).  ista, fista
+    and lista run in the proximal-gradient engine :func:`_ista_matrix`,
+    lista's trained blocks as its iterations; sb-tv runs its own
+    split-Bregman loop.
     The echo must be nonempty and finite, with one channel per matrix row
     (ValueError otherwise): an order-3 tensor, one problem, or a 2-D
     (n_e, m) batch of m independent fibers, each solved as its solo solve
@@ -1060,24 +1046,7 @@ def reconstruct_tensor(y, a, method, cfg: SolverConfig | None = None, lista_para
     elif method == "lista":
         if lista_params is None:
             raise ConfigurationError("method 'lista' requires trained parameters")
-        ah = a.conj().T
-        blocks = zip(lista_params.alpha, lista_params.theta)
-
-        def step(x, resid):
-            alpha_k, theta_k = next(blocks)
-            # a new array for the shrink, not out=: shrinking in place measured
-            # 10-20 % slower per step at 500 and 4096 columns, the temporaries
-            # of the next step then landing on fresh pages
-            return soft_threshold(_gradient_step(x, y2d, a, ah, alpha_k, resid), theta_k)
-
-        # data-fit objective only (lambda1 = 0 for each problem): the unrolled
-        # blocks carry no single lambda pair; sigma = 0 never stops early,
-        # and a network that has run all its K blocks is complete, so the
-        # report says converged
-        lam = np.zeros(y2d.shape[1]) if batch else 0.0
-        x0 = np.zeros((a.shape[1], y2d.shape[1]), dtype=np.complex128)
-        x2d, report = _iterate(step, x0, y2d, a, lam, None, 0.0, lista_params.blocks, "lista")
-        report.converged = True
+        x2d, report = _ista_matrix(y2d, a, lista_params, "lista", batch)
     else:
         raise ConfigurationError(
             f"unknown method {method!r}; choose from ista, fista, sb-tv, light-tv, lista"

@@ -23,10 +23,10 @@ from tomosar.solvers import (
     SolverConfig,
     _column_rel_change,
     _ista_matrix,
-    _iterate,
     _lista_gradient,
     _objective,
     _residual,
+    _Stops,
     _sweep_buffers,
     _unrolled_infer,
     ista_fiber,
@@ -269,13 +269,13 @@ def _allocating_iteration(y2d, a, alpha, theta, variant, iters, seen=None):
 
 
 class TestIstaBlocks:
-    """A single ista or fista problem of at least SLAB_MIN_VOXELS entries
-    iterates on one block per worker, and no output byte depends on the
-    worker count."""
+    """A single ista, fista or lista problem of at least SLAB_MIN_VOXELS
+    entries iterates on one block per worker, and no output byte depends on
+    the worker count."""
 
     ITERS = 5
 
-    @pytest.mark.parametrize("variant", ["ista", "fista"])
+    @pytest.mark.parametrize("variant", ["ista", "fista", "lista"])
     @pytest.mark.parametrize("dims", [(64, 32, 32), (64, 33, 31)], ids=["64x32x32", "64x33x31"])
     def test_bytes_independent_of_thread_count(self, dims, variant, monkeypatch):
         assert math.prod(dims) >= SLAB_MIN_VOXELS
@@ -287,6 +287,10 @@ class TestIstaBlocks:
         y = forward(a, x)
         y += 0.1 * (r.standard_normal(y.shape) + 1j * r.standard_normal(y.shape))
         rcfg = resolve_config(SolverConfig(sigma=1e-300, max_outer=self.ITERS), a, y)
+        if variant == "lista":
+            # trained blocks, each with its own step and threshold
+            alpha = rcfg.alpha * np.linspace(1.0, 0.6, self.ITERS)
+            rcfg = LearnedIstaParams(alpha=alpha, theta=alpha * rcfg.lambda1 * np.linspace(0.5, 1.5, self.ITERS))
         y2d = y.reshape(a.shape[0], -1)
         fanned = []
         real_run_indexed = solvers.run_indexed
@@ -309,8 +313,18 @@ class TestIstaBlocks:
             runs.append((xs.tobytes(), report.to_dict()))
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
-        seen = []
-        ref = _allocating_iteration(y2d, a, rcfg.alpha, rcfg.alpha * rcfg.lambda1, variant, self.ITERS, seen)
+        if variant == "lista":
+            # the forward pass that training differentiates; lista scores
+            # the data term alone and has converged once all blocks have run
+            tape = []
+            ref = _unrolled_infer(y2d, a, rcfg, tape)
+            seen = [soft_threshold(z, theta) for z, theta in zip(tape, rcfg.theta)]
+            lam = 0.0
+            assert runs[0][1]["converged"]
+        else:
+            seen = []
+            ref = _allocating_iteration(y2d, a, rcfg.alpha, rcfg.alpha * rcfg.lambda1, variant, self.ITERS, seen)
+            lam = rcfg.lambda1
         assert runs[0][0] == ref.tobytes()
         # the traces of the unblocked relative change and objective
         before = [np.zeros_like(ref)] + seen[:-1]
@@ -318,14 +332,14 @@ class TestIstaBlocks:
             float(_column_rel_change(t.reshape(-1, 1), t0.reshape(-1, 1))[0]) for t, t0 in zip(seen, before)
         ]
         assert runs[0][1]["objective_trace"] == [
-            float(_objective(t, _residual(t, y2d, a), rcfg.lambda1)[0]) for t in seen
+            float(_objective(t, _residual(t, y2d, a), lam, 0.0)[0]) for t in seen
         ]
 
 
 class TestResidualReuse:
-    """Each iterate's residual Y - A X is formed once, by _iterate, for its
-    objective, and the step reuses it: one more product per iteration, A^H
-    on that residual.  The leading 1 is the start objective."""
+    """Each iterate's residual Y - A X is formed once, by the solver's loop,
+    for its objective, and the step reuses it: one more product per
+    iteration, A^H on that residual.  The leading 1 is the start objective."""
 
     def counting_problem(self, seed):
         a = build_steering_matrix(small_geometry())
@@ -528,13 +542,29 @@ class TestObjective:
             solo = objective_eval(x[:, j, None, None], y[:, j, None, None], a, lam1[j], lam2[j])
             assert got[j] == pytest.approx(solo, rel=1e-14)
 
+    @staticmethod
+    def stopped_loop(step, x, y2d, lambda1, sigma, max_outer):
+        """``x = step(x)`` from the given start under :class:`_Stops`, as
+        split_bregman_l1tv's loop runs it, with a = I: (result, report)."""
+        a, k = np.eye(x.shape[0]), np.size(lambda1)
+        obj0 = _objective(x, _residual(x.reshape(x.shape[0], -1), y2d, a), lambda1, 0.0)
+        stops = _Stops(obj0.reshape(1, k), sigma, max_outer, "test", np.ndim(lambda1) > 0)
+        for it in range(max_outer):
+            x_new = step(x)
+            rel = _column_rel_change(x_new.reshape(-1, k), x.reshape(-1, k))
+            obj = _objective(x_new, _residual(x_new.reshape(x.shape[0], -1), y2d, a), lambda1, 0.0)
+            x = x_new
+            if stops.check(it, rel.reshape(1, k), obj.reshape(1, k), x.reshape(1, -1, k)).all():
+                break
+        res, report = stops.finish(x.reshape(1, -1, k))
+        return res.reshape(x.shape), report
+
     def test_volume_is_a_batch_of_one(self):
         # a scalar lambda1 poses one problem: one stop, one count, and the
-        # iterate the last step returned; with a = I and y = 0 the objective
-        # 1/2 ||X||^2 falls as the iterate halves
+        # last iterate; with a = I and y = 0 the objective 1/2 ||X||^2
+        # falls as the iterate halves
         x0 = np.ones((4, 3, 2), dtype=complex)
-        halve = lambda x, resid: 0.5 * x
-        x, report = _iterate(halve, x0, np.zeros((4, 6)), np.eye(4), 0.0, 0.0, 0.3, 10, "test")
+        x, report = self.stopped_loop(lambda x: 0.5 * x, x0, np.zeros((4, 6)), 0.0, 0.3, 10)
         assert report.column_iterations == [report.iterations] == [10]
         assert not report.converged
         assert np.array_equal(x, x0 * 0.5 ** 10)
@@ -544,9 +574,8 @@ class TestObjective:
         # One lambda1 per column poses three problems; with a = I and y = 1
         # each objective 1/2 ||1 - x_j||^2 falls as its column moves
         rates = np.array([0.0, 0.5, 0.8])
-        step = lambda x, resid: 1.0 + rates * (x - 1.0)
-        x, report = _iterate(step, np.zeros((4, 3), dtype=complex), np.ones((4, 3)), np.eye(4),
-                             np.zeros(3), np.zeros(3), 1e-6, 200, "test")
+        step = lambda x: 1.0 + rates * (x - 1.0)
+        x, report = self.stopped_loop(step, np.zeros((4, 3), dtype=complex), np.ones((4, 3)), np.zeros(3), 1e-6, 200)
         its = report.column_iterations
         assert its[0] == 2 and its[0] < its[1] < its[2] == report.iterations
         assert report.converged
@@ -1022,6 +1051,22 @@ class TestLearnedIsta:
         a = build_steering_matrix(small_geometry())
         with pytest.raises(ConfigurationError, match="^lr must be finite and positive"):
             lista_train(a, (np.ones((6, 4), complex), np.ones((8, 4), complex)), k_blocks=2, epochs=1, lr=lr)
+
+    @pytest.mark.parametrize("knob, value, message", [
+        ("k_blocks", 2.5, "k_blocks must be a whole number, got 2.5"),
+        ("k_blocks", math.inf, "k_blocks must be a whole number, got inf"),
+        ("k_blocks", math.nan, "k_blocks must be a whole number, got nan"),
+        ("k_blocks", 0, "k_blocks must be >= 1, got 0"),
+        ("epochs", 2.5, "epochs must be a whole number, got 2.5"),
+        ("epochs", math.inf, "epochs must be a whole number, got inf"),
+        ("epochs", math.nan, "epochs must be a whole number, got nan"),
+        ("epochs", -1, "epochs must be >= 0, got -1"),
+    ])
+    def test_counts_must_be_whole_numbers(self, knob, value, message):
+        a = build_steering_matrix(small_geometry())
+        counts = {"k_blocks": 2, "epochs": 1} | {knob: value}
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            lista_train(a, (np.ones((6, 4), complex), np.ones((8, 4), complex)), **counts)
 
     @pytest.mark.parametrize("rows", [(6, 1), (5, 8)])
     def test_mis_shaped_dataset_rejected(self, rows):
