@@ -14,9 +14,9 @@ import numpy as np
 
 from . import fileio
 from ._pool import run_indexed
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, whole_number
 from .metrics import evaluate_tensors, scoring_settings, timed
-from .sensing import build_steering_matrix, complex_noise, fiber_rng, noise_sigma, noiseless
+from .sensing import build_steering_matrix, fiber_rng, noisy_fibers
 from .simulate import GridSpec, generate_echo, make_test_object
 from .solvers import reconstruct_tensor
 
@@ -105,8 +105,7 @@ def resolution_curve(
             raise ConfigurationError(f"separations must be finite, got {s!r}")
         if s < 0:
             raise ConfigurationError(f"separations must be >= 0, got {s!r}")
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
+    trials = whole_number("trials", trials)
     if not (math.isfinite(success_half_width) and success_half_width > 0):
         raise ConfigurationError(
             f"success_half_width must be finite and > 0, got {success_half_width!r}"
@@ -115,25 +114,16 @@ def resolution_curve(
         raise ConfigurationError(
             f"peak_rel_threshold must be in [0, 1), got {peak_rel_threshold!r}"
         )
-    clean = noiseless(snr_db)
     separations = sorted(separations)
     a = build_steering_matrix(g)
     grid = GridSpec.from_geometry(g, n_x=1, n_y=1)
-    n_e = g.n_elements
     # every scene before any solve, so that a separation the grid cannot hold
     # fails first
     scenes = [make_test_object("two_scatterers", g, grid, seed=0, separation_rho=s) for s in separations]
 
     def echoes(si):
-        y_clean = a @ scenes[si][0][:, 0, 0]
-        if clean:
-            noise = np.zeros((n_e, trials), dtype=np.complex128)
-        else:
-            sigma = noise_sigma(y_clean, snr_db)
-            noise = np.stack(
-                [complex_noise(fiber_rng(seed, si, t), n_e, sigma) for t in range(trials)], axis=1
-            )
-        return y_clean[:, None] + noise
+        streams = (fiber_rng(seed, si, t) for t in range(trials))
+        return noisy_fibers(a @ scenes[si][0][:, 0, 0], snr_db, streams)
 
     def score(si, x_batch):
         meta = scenes[si][1]

@@ -179,8 +179,6 @@ def cmd_structure_test(args):
 def cmd_train_lista(args):
     g = _load_geometry(args)
     a = build_steering_matrix(g)
-    if args.fibers < 1:
-        raise ConfigurationError("--fibers must be >= 1")
     dataset = make_fiber_dataset(a, args.fibers, args.seed, snr_db=args.snr)
     params, trace = lista_train(a, dataset, k_blocks=args.blocks, epochs=args.epochs, lr=args.lr)
     fileio.write_lista_params(args.out_params, params)
@@ -230,7 +228,7 @@ def build_parser():
                    help="two_scatterers separation in multiples of the Rayleigh resolution")
     p.add_argument("--spacing", type=float, default=0.5, help="building surface sampling in meters")
     p.add_argument("--scene-size", type=float, default=None, help="physical scene extent in meters")
-    p.add_argument("--snr", type=float, default=5.0, help="echo SNR in dB (inf for noiseless)")
+    p.add_argument("--snr", type=float, default=5.0, help="echo SNR in dB (inf: no noise)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-scene", required=True)
     p.add_argument("--out-echo", required=True)

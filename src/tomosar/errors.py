@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the whole-number check
+of every count knob."""
 
 
 class ConfigurationError(ValueError):
@@ -17,3 +18,12 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.objective_trace = list(objective_trace) if objective_trace else []
         self.column = column
+
+
+def whole_number(name, v, least=1):
+    """v as an int; ConfigurationError naming the knob unless it is a whole number >= ``least``."""
+    if not float(v).is_integer():
+        raise ConfigurationError(f"{name} must be a whole number, got {v!r}")
+    if v < least:
+        raise ConfigurationError(f"{name} must be >= {least}, got {v!r}")
+    return int(v)

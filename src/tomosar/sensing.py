@@ -4,6 +4,12 @@ The sensing model ties an elevation fiber x (length n_z, one complex
 reflectivity per elevation grid position) to an echo fiber y (length n_e, one
 complex sample per array element) through y = A x.  Applied to a full scene
 tensor the operator acts independently on every (range, azimuth) fiber.
+
+The echo is Y = A X + N.  Every echo's noise N is drawn by one helper,
+:func:`noisy_fibers`, from one :func:`fiber_rng` stream per fiber: a volume
+fiber f from (seed, f) (:func:`add_noise`), a resolution trial from (seed,
+separation, trial), and a training fiber from the (seed, fiber) stream that
+also drew its scatterers.
 """
 
 import math
@@ -145,7 +151,8 @@ def adjoint(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def fiber_rng(seed: int, *key: int) -> np.random.Generator:
     """Counter-based substream keyed by (seed, *key), e.g. (seed, fiber) or
-    (seed, separation, trial).
+    (seed, separation, trial); ``fiber_rng(seed)`` is the plain stream of
+    ``seed``.  Every random draw of the package comes from one of these.
 
     Streams are independent of evaluation order, so noise draws do not
     depend on how work is scheduled across threads.
@@ -154,49 +161,53 @@ def fiber_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def complex_noise(g: np.random.Generator, n: int, sigma: float) -> np.ndarray:
-    """n circular complex Gaussian samples of variance sigma^2 from ``g``.
+def noisy_fibers(y, snr_db: float, streams) -> np.ndarray:
+    """Clean echo fibers plus circular complex white Gaussian noise at ``snr_db``.
 
-    Draws 2n standard normals d and returns sigma/sqrt(2) (d[:n] + j d[n:]).
+    ``y`` is one fiber of n_e samples, repeated in every output column, or an
+    (n_e, n) array of fibers, one per column.  ``streams`` yields one
+    generator per output column, taken one at a time; at finite SNR each is
+    released once its column is drawn.  Column c adds sigma/sqrt(2) (d[:n_e]
+    + j d[n_e:]) for 2 n_e standard normals d drawn from its stream, with
+    sigma^2 = mean |y|^2 / 10^(snr_db / 10) over ``y`` as passed.  snr_db =
+    +inf adds no noise and draws nothing; NaN, -inf, and an all-zero ``y`` at
+    finite SNR raise ValueError.  Returns a new array.
     """
-    draws = g.standard_normal(2 * n)
-    return (sigma / math.sqrt(2.0)) * (draws[:n] + 1j * draws[n:])
-
-
-def noise_sigma(y, snr_db: float) -> float:
-    """Noise standard deviation that puts ``y`` at ``snr_db``:
-    sqrt(mean |y|^2 / 10^(snr_db / 10))."""
-    power = float(np.mean(np.abs(y) ** 2))
-    if power == 0.0:
-        raise ValueError("cannot scale noise against an all-zero echo")
-    return math.sqrt(power / (10.0 ** (snr_db / 10.0)))
-
-
-def noiseless(snr_db: float) -> bool:
-    """Whether ``snr_db`` means no noise (+inf) or some (finite); ValueError otherwise."""
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
-    return snr_db == math.inf
+    if snr_db == math.inf:
+        return y.copy() if y.ndim == 2 else np.stack([y for _ in streams], axis=1)
+    power = float(np.mean(np.abs(y) ** 2))
+    if power == 0.0:
+        raise ValueError("cannot add finite-SNR noise to an all-zero echo")
+    scale = math.sqrt(power / (10.0 ** (snr_db / 10.0))) / math.sqrt(2.0)
+    n = y.shape[0]
+
+    def noise(g):
+        draws = g.standard_normal(2 * n)
+        return scale * (draws[:n] + 1j * draws[n:])
+
+    noises = map(noise, streams)  # map, not a loop variable, so no generator outlives its draw
+    if y.ndim == 1:
+        return y[:, None] + np.stack(list(noises), axis=1)
+    out = y.copy()
+    for fiber, d in zip(out.T, noises):
+        fiber += d
+    return out
 
 
 def add_noise(y: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
-    """Add circular complex white Gaussian noise at the given echo SNR.
+    """Add noise to every fiber of an echo volume at the given echo SNR
+    (:func:`noisy_fibers`), with sigma set by the whole volume.
 
-    SNR is defined over all echo entries: 10 log10(mean |y|^2 / var(noise)).
-    Real and imaginary parts are each N(0, var/2).  Every fiber draws from
-    its own counter-based substream of ``seed``, so the result is identical
-    no matter how fibers are scheduled.  snr_db = +inf returns a copy.
+    Fiber f of the flattened (range, azimuth) plane draws from
+    ``fiber_rng(seed, f)``, so the result is identical no matter how fibers
+    are scheduled.  snr_db = +inf returns a copy.
     """
     tensor._check3d(y)
-    if noiseless(snr_db):
-        return y.copy()
-    sigma = noise_sigma(y, snr_db)
     d0, d1, d2 = y.shape
-    out = y.copy()
-    flat = out.reshape(d0, d1 * d2)
-    for f in range(d1 * d2):
-        flat[:, f] += complex_noise(fiber_rng(seed, f), d0, sigma)
-    return out
+    streams = (fiber_rng(seed, f) for f in range(d1 * d2))
+    return noisy_fibers(y.reshape(d0, d1 * d2), snr_db, streams).reshape(y.shape)
 
 
 def spectral_norm_sq(a: np.ndarray, iters: int = 50) -> float:
@@ -211,7 +222,7 @@ def spectral_norm_sq(a: np.ndarray, iters: int = 50) -> float:
         raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    g = np.random.Generator(np.random.Philox(np.random.SeedSequence(0x5EED)))
+    g = fiber_rng(0x5EED)
     v = g.standard_normal(a.shape[1]) + 1j * g.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
     est = 0.0

@@ -15,16 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, whole_number
 from .sensing import (
     DEFAULT_INCIDENCE_DEG,
     SystemGeometry,
     add_noise,
-    complex_noise,
     fiber_rng,
     forward,
-    noise_sigma,
-    noiseless,
+    noisy_fibers,
     theoretical_resolution,
 )
 
@@ -213,7 +211,7 @@ def generate_building(kind: str, spacing: float, seed: int) -> PointCloud:
         raise ConfigurationError(
             f"spacing {spacing!r} samples {points:.3g} points, more than {MAX_CLOUD_POINTS}; use a coarser spacing"
         )
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = fiber_rng(seed)
     jitter = 0.2 * spacing
     chunks = [_sample_facet(origin, e1, e2, spacing, rng, jitter) for origin, e1, e2, _ in facets]
     return PointCloud.from_xyz(np.concatenate(chunks, axis=0))
@@ -272,7 +270,7 @@ def project_to_grid(p: PointCloud, g: SystemGeometry, grid: GridSpec, seed: int,
         raise ConfigurationError(f"scene_size_m {scene_size_m!r} puts voxel indices beyond the int64 range")
     iz, ix, iy = (np.rint(c).astype(np.int64) for c in coords)
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = fiber_rng(seed)
     amps = rng.uniform(1.0, 4.0, size=p.n_points)
     phases = np.mod(-4.0 * np.pi * r / g.wavelength_m, 2.0 * np.pi)
 
@@ -302,12 +300,7 @@ def project_to_grid(p: PointCloud, g: SystemGeometry, grid: GridSpec, seed: int,
 
 def generate_echo(x: np.ndarray, a: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Forward-project a scene tensor and add noise at the requested SNR."""
-    y = forward(a, x)
-    if not np.any(y):
-        if noiseless(snr_db):
-            return y
-        raise ValueError("cannot add finite-SNR noise to an all-zero echo")
-    return add_noise(y, snr_db, seed)
+    return add_noise(forward(a, x), snr_db, seed)
 
 
 def _paint_segments(t, segments):
@@ -428,12 +421,10 @@ def make_fiber_dataset(a: np.ndarray, n_fibers: int, seed: int, snr_db: float = 
 
     Returns (Y, X) with Y of shape (n_e, n_fibers) and X of shape
     (n_z, n_fibers).  Fiber i draws its scatterer count (1 to 3), positions,
-    amplitudes, phases, and noise from substream (seed, i), so the dataset
-    is independent of generation order.
+    amplitudes, phases, and then noise from substream (seed, i), so the
+    dataset is independent of generation order.
     """
-    if n_fibers < 1:
-        raise ConfigurationError("need at least one fiber")
-    clean = noiseless(snr_db)
+    n_fibers = whole_number("n_fibers", n_fibers)
     n_e, n_z = a.shape
     X = np.zeros((n_z, n_fibers), dtype=np.complex128)
     Y = np.zeros((n_e, n_fibers), dtype=np.complex128)
@@ -445,9 +436,6 @@ def make_fiber_dataset(a: np.ndarray, n_fibers: int, seed: int, snr_db: float = 
         phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
         x = np.zeros(n_z, dtype=np.complex128)
         x[bins] = amps * np.exp(1j * phases)
-        y = a @ x
-        if not clean:
-            y = y + complex_noise(rng, n_e, noise_sigma(y, snr_db))
         X[:, i] = x
-        Y[:, i] = y
+        Y[:, i:i + 1] = noisy_fibers(a @ x, snr_db, (rng,))
     return Y, X

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor
 from ._pool import run_indexed, worker_count
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, whole_number
 from .sensing import adjoint, forward, spectral_norm_sq
 
 
@@ -89,15 +89,6 @@ def _knob(name, v, positive=True):
     return vals if vals.ndim else float(v)
 
 
-def _count(name, v, least=1):
-    """v as an int; ConfigurationError naming the knob unless it is a whole number >= ``least``."""
-    if not float(v).is_integer():
-        raise ConfigurationError(f"{name} must be a whole number, got {v!r}")
-    if v < least:
-        raise ConfigurationError(f"{name} must be >= {least}, got {v!r}")
-    return int(v)
-
-
 def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9) -> ResolvedConfig:
     """Fill every None field of ``cfg`` from the data-dependent defaults.
 
@@ -109,7 +100,7 @@ def resolve_config(cfg: SolverConfig | None, a: np.ndarray, y, alpha_factor=0.9)
     chosen per solver family; an explicit cfg.alpha always wins.
     """
     cfg = cfg or SolverConfig()
-    max_outer, inner_iters = (_count(name, getattr(cfg, name)) for name in ("max_outer", "inner_iters"))
+    max_outer, inner_iters = (whole_number(name, getattr(cfg, name)) for name in ("max_outer", "inner_iters"))
     y2d = np.asarray(y, dtype=np.complex128).reshape(a.shape[0], -1)
     batch = np.ndim(y) == 2
 
@@ -770,7 +761,7 @@ def tv_denoise_enhance(x, lambda2, inner_iters=3, mu=1.0):
     """
     x, x3, batch = _as_volume(x)
     lambda2, mu = _knob("lambda2", lambda2, positive=False), _knob("mu", mu)
-    inner_iters = _count("inner_iters", inner_iters)
+    inner_iters = whole_number("inner_iters", inner_iters)
     if batch:
         lam = np.broadcast_to(np.asarray(lambda2, dtype=np.float64), x.shape[1:])
         keep = (lam != 0.0) & np.any(tensor.diff(x3, 0), axis=(0, 2))
@@ -976,7 +967,7 @@ def lista_train(a, dataset, k_blocks=9, epochs=200, lr=0.1, seed=0):
             f"echo fibers of length {y2d.shape[0]} and truth fibers of length {x2d.shape[0]}"
             f" do not match the {a.shape[0]}x{a.shape[1]} matrix"
         )
-    k_blocks, epochs = _count("k_blocks", k_blocks), _count("epochs", epochs, least=0)
+    k_blocks, epochs = whole_number("k_blocks", k_blocks), whole_number("epochs", epochs, least=0)
     if not (math.isfinite(lr) and lr > 0):
         raise ConfigurationError(f"lr must be finite and positive, got {lr!r}")
 

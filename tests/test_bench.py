@@ -21,10 +21,8 @@ from tomosar.errors import ConfigurationError, DivergenceError
 from tomosar.fileio import read_tensor, write_resolution_curve
 from tomosar.sensing import (
     build_steering_matrix,
-    complex_noise,
     default_geometry,
     fiber_rng,
-    noise_sigma,
     spectral_norm_sq,
 )
 from tomosar.simulate import GridSpec, make_test_object
@@ -113,6 +111,23 @@ class TestResolutionCurve:
             resolution_curve(g, separations=(-0.5,), trials=5)
         with pytest.raises(ConfigurationError):
             resolution_curve(g, separations=(1.0,), trials=0)
+        for trials in (2.5, math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match=f"trials must be a whole number, got {trials!r}"):
+                resolution_curve(g, separations=(1.0,), trials=trials)
+
+    def test_trial_echoes_follow_the_draw_formula(self, monkeypatch):
+        # the solver sees fiber_echoes' columns, bit for bit: sigma from the
+        # one clean fiber, trial t of separation index 1 from stream (seed, 1, t)
+        seen = []
+
+        def record(y, a, *args):
+            seen.append(y.copy())
+            return np.zeros((a.shape[1], y.shape[1]), dtype=complex), None
+
+        monkeypatch.setattr(bench, "reconstruct_tensor", record)
+        resolution_curve(default_geometry(), separations=(0.0, 1.0), trials=3, seed=3, threads=1)
+        a = build_steering_matrix(default_geometry())
+        assert len(seen) == 1 and np.array_equal(seen[0][:, 3:], fiber_echoes(a, 1.0, 3))
 
     @pytest.mark.parametrize("seps", [(math.inf,), (0.2, math.nan), (-math.inf, 1.0)])
     def test_nonfinite_separations_rejected_before_any_solve(self, monkeypatch, seps):
@@ -185,9 +200,13 @@ def fiber_echoes(a, separation, trials, seed=3):
     scene, _ = make_test_object("two_scatterers", g, GridSpec.from_geometry(g, n_x=1, n_y=1), seed=0,
                                 separation_rho=separation)
     y_clean = a @ scene[:, 0, 0]
-    sigma = noise_sigma(y_clean, 5.0)
-    return np.stack([y_clean + complex_noise(fiber_rng(seed, 1, t), a.shape[0], sigma) for t in range(trials)],
-                    axis=1)
+    sigma = np.sqrt(np.mean(np.abs(y_clean) ** 2) / 10 ** (5.0 / 10.0))
+    n = a.shape[0]
+    columns = []
+    for t in range(trials):
+        d = fiber_rng(seed, 1, t).standard_normal(2 * n)
+        columns.append(y_clean + (sigma / np.sqrt(2.0)) * (d[:n] + 1j * d[n:]))
+    return np.stack(columns, axis=1)
 
 
 def assert_matches_solo(x_batch, x_solo):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,11 +16,10 @@ from tomosar.sensing import (
     add_noise,
     adjoint,
     build_steering_matrix,
-    complex_noise,
     default_geometry,
     fiber_rng,
     forward,
-    noiseless,
+    noisy_fibers,
     spectral_norm_sq,
     theoretical_resolution,
 )
@@ -180,13 +180,19 @@ class TestNoise:
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_nan_and_minus_inf_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db must be finite or [+]inf"):
-            noiseless(snr_db)
+            noisy_fibers(random_tensor((12,)), snr_db, [fiber_rng(0, 0)])
         with pytest.raises(ValueError, match="snr_db must be finite or [+]inf"):
             add_noise(random_tensor((12, 2, 2)), snr_db, seed=0)
 
     def test_noiseless_only_at_plus_inf(self):
-        assert noiseless(math.inf) and noiseless(np.inf)
-        assert not noiseless(5.0) and not noiseless(-40.0)
+        fiber, fibers = random_tensor((12,), seed=1), random_tensor((12, 3), seed=2)
+        for snr_db in (math.inf, np.inf):
+            assert np.array_equal(noisy_fibers(fiber, snr_db, [fiber_rng(0, t) for t in range(3)]),
+                                  np.stack([fiber] * 3, axis=1))
+            assert np.array_equal(noisy_fibers(fibers, snr_db, [fiber_rng(0, t) for t in range(3)]), fibers)
+        for snr_db in (5.0, -40.0):
+            noisy = noisy_fibers(fibers, snr_db, [fiber_rng(0, t) for t in range(3)])
+            assert noisy.shape == fibers.shape and np.all(noisy != fibers)
 
     def test_seed_determinism(self):
         y = random_tensor((12, 8, 8), seed=8)
@@ -197,8 +203,10 @@ class TestNoise:
         assert not np.array_equal(a, c)
 
     def test_zero_signal_finite_snr_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all-zero echo"):
             add_noise(np.zeros((12, 2, 2), dtype=complex), 5.0, seed=0)
+        with pytest.raises(ValueError, match="all-zero echo"):
+            noisy_fibers(np.zeros(12, dtype=complex), 5.0, [fiber_rng(0, 0)])
 
     def test_empirical_snr_at_5db(self):
         y = random_tensor((64, 16, 16), seed=9)
@@ -233,11 +241,44 @@ class TestNoise:
 
     def test_keyed_substream_and_complex_noise(self):
         # fiber_rng(seed, *key) is the Philox stream of SeedSequence(seed,
-        # spawn_key=key); complex_noise splits 2n normals into re and im
-        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=9, spawn_key=(2, 7))))
-        d = ref.standard_normal(10)
-        got = complex_noise(fiber_rng(9, 2, 7), 5, 0.3)
-        assert np.array_equal(got, (0.3 / np.sqrt(2.0)) * (d[:5] + 1j * d[5:]))
+        # spawn_key=key); each column splits its stream's 2n normals into re
+        # and im, scaled by the sigma of the one clean fiber
+        y = random_tensor((5,), seed=12)
+        sigma = np.sqrt(np.mean(np.abs(y) ** 2) / 10 ** (3.0 / 10.0))
+        got = noisy_fibers(y, 3.0, (fiber_rng(9, 2, t) for t in range(4)))
+        for t in range(4):
+            ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=9, spawn_key=(2, t))))
+            d = ref.standard_normal(10)
+            assert np.array_equal(got[:, t], y + (sigma / np.sqrt(2.0)) * (d[:5] + 1j * d[5:]))
+
+    @pytest.mark.parametrize("seed", [0, 7, 0x5EED, 2**40])
+    def test_unkeyed_stream_is_the_plain_seed_stream(self, seed):
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        assert np.array_equal(fiber_rng(seed).standard_normal(8), ref.standard_normal(8))
+
+    def test_streams_are_taken_one_at_a_time(self):
+        # a lazy stream of generators is never held whole: when column f's
+        # generator is made, no earlier one is still alive
+        class Stream(np.random.Generator):
+            pass
+
+        alive = []
+
+        def streams():
+            for f in range(6):
+                assert all(ref() is None for ref in alive), f
+                g = Stream(np.random.Philox(np.random.SeedSequence(entropy=4, spawn_key=(f,))))
+                alive.append(weakref.ref(g))
+                yield g
+                del g
+
+        y = random_tensor((12, 2, 3), seed=13)
+        noisy = noisy_fibers(y.reshape(12, 6), 5.0, streams())
+        assert len(alive) == 6
+        assert np.array_equal(noisy.reshape(y.shape), add_noise(y, 5.0, seed=4))
+        alive.clear()
+        noisy_fibers(y[:, 0, 0], 5.0, streams())
+        assert len(alive) == 6
 
 
 class TestSpectralNorm:

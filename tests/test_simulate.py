@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tomosar.errors import ConfigurationError
-from tomosar.sensing import build_steering_matrix, default_geometry, forward
+from tomosar.sensing import build_steering_matrix, default_geometry, fiber_rng, forward
 from tomosar.simulate import (
     BUILDINGS,
     MAX_CLOUD_POINTS,
@@ -180,6 +180,16 @@ class TestNonFiniteKnobs:
     def test_fiber_dataset_snr(self, snr_db):
         with pytest.raises(ValueError, match="snr_db must be finite or [+]inf"):
             make_fiber_dataset(build_steering_matrix(default_geometry()), 2, seed=0, snr_db=snr_db)
+
+    @pytest.mark.parametrize("n_fibers, message", [
+        (2.5, "n_fibers must be a whole number, got 2.5"),
+        (math.nan, "n_fibers must be a whole number, got nan"),
+        (math.inf, "n_fibers must be a whole number, got inf"),
+        (0, "n_fibers must be >= 1, got 0"),
+    ])
+    def test_fiber_dataset_count(self, n_fibers, message):
+        with pytest.raises(ConfigurationError, match=message):
+            make_fiber_dataset(build_steering_matrix(default_geometry()), n_fibers, seed=0)
 
 
 class TestProjectToGrid:
@@ -437,6 +447,26 @@ class TestFiberDataset:
         a = build_steering_matrix(default_geometry())
         y, x = make_fiber_dataset(a, 5, seed=3, snr_db=np.inf)
         assert np.allclose(y, a @ x, atol=1e-12)
+
+    def test_noise_continues_the_scatterer_stream(self):
+        # column i of Y is a @ x_i plus the draw that follows fiber i's
+        # scatterer draws on fiber_rng(seed, i), at the sigma of that fiber
+        a = build_steering_matrix(default_geometry())
+        y, x = make_fiber_dataset(a, 4, seed=5, snr_db=3.0)
+        n_e, n_z = a.shape
+        for i in range(4):
+            rng = fiber_rng(5, i)
+            k = int(rng.integers(1, 4))
+            bins = rng.choice(n_z, size=k, replace=False)
+            amps = rng.uniform(1.0, 4.0, size=k)
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
+            expect_x = np.zeros(n_z, dtype=complex)
+            expect_x[bins] = amps * np.exp(1j * phases)
+            assert np.array_equal(x[:, i], expect_x)
+            y_clean = a @ expect_x
+            sigma = np.sqrt(np.mean(np.abs(y_clean) ** 2) / 10 ** (3.0 / 10.0))
+            d = rng.standard_normal(2 * n_e)
+            assert np.array_equal(y[:, i], y_clean + (sigma / np.sqrt(2.0)) * (d[:n_e] + 1j * d[n_e:]))
 
     def test_sparsity_bound(self):
         a = build_steering_matrix(default_geometry())

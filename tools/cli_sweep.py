@@ -17,8 +17,10 @@ defaults; ``simulate`` of a 32x32 building:box and ``reconstruct`` of its
 echo by each method (and sb-tv with lambda1 = 0); ``structure-test`` of the
 same object by each method; ``resolution-test`` with 25 trials for every
 method, and fista with 100 trials (two column batches of whole
-separations, so the two workers share the study); and the six commands of
-acceptance criterion 10.
+separations, so the two workers share the study); the six commands of
+acceptance criterion 10; and five noiseless (``--snr inf``) commands:
+``train-lista`` at its other defaults, ``simulate`` of a 32x32 building:box
+and of the two scatterers, and ``resolution-test`` by fista and by sb-tv.
 """
 
 import hashlib
@@ -70,7 +72,17 @@ def commands():
                  "--seed", "2", "--out-dir", "bundle"]),
         ("c10", ["train-lista", "--fibers", "10", "--epochs", "2", "--blocks", "2", "--seed", "7",
                  "--out-params", "params.json", "--out-loss", "loss.csv"]),
+        ("noiseless", ["train-lista", "--snr", "inf", "--out-params", "params.json", "--out-loss", "loss.csv"]),
+        ("noiseless", ["simulate", "--model", "building:box", "--nx", "32", "--ny", "32", "--seed", "1",
+                       "--snr", "inf", "--out-scene", "box-scene.tsr3", "--out-echo", "box-echo.tsr3",
+                       "--out-meta", "box-meta.json"]),
+        ("noiseless", ["simulate", "--model", "two_scatterers", "--nx", "8", "--ny", "8", "--snr", "inf",
+                       "--out-scene", "pair-scene.tsr3", "--out-echo", "pair-echo.tsr3",
+                       "--out-meta", "pair-meta.json"]),
     ]
+    for m in ("fista", "sb-tv"):
+        cmds.append(("noiseless", ["resolution-test", "--method", m, "--snr", "inf", "--trials", "25",
+                                   "--out", f"curve-{m}.csv"]))
     return cmds
 
 
