@@ -215,7 +215,7 @@ def run_structure_test(
     fileio.write_json(os.path.join(out_dir, "eval_report.json"), eval_report.to_dict())
     fileio.write_json(
         os.path.join(out_dir, "solver_report.json"),
-        solver_report.to_dict(include_timing=timing, t_ag_s=t_mean if timing else None),
+        solver_report.to_dict(t_ag_s=t_mean if timing else None),
     )
     meta_out = dict(meta)
     meta_out.update(

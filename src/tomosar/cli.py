@@ -6,7 +6,8 @@ structure-test, train-lista.  Exit codes: 0 success, 1 I/O failure,
 byte-reproducible for identical flags; timing fields are only populated
 with --timing.  TOMOSAR_THREADS (0 = auto) caps resolution-test's pool over
 its column batches, the slabs of a split-Bregman sweep, the blocks of an
-ista or fista volume and light-tv's groups of slices.
+ista or fista volume and light-tv's groups of slices.  A flag that is left
+out takes the default of the library function it feeds.
 """
 
 import argparse
@@ -38,10 +39,13 @@ def _load_geometry(args):
     return default_geometry()
 
 
+def _given(args, *names):
+    """The named attributes of ``args`` that a flag set, as keyword arguments."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
 def _grid_from(args, g):
-    return GridSpec.from_geometry(
-        g, n_x=args.nx, n_y=args.ny, cell_x=args.cell_x, cell_y=args.cell_y
-    )
+    return GridSpec.from_geometry(g, **_given(args, "n_x", "n_y", "cell_x", "cell_y"))
 
 
 def _solver_config(args):
@@ -56,8 +60,7 @@ def _solver_config(args):
         for key, value in base.items():
             if value is not None or defaults[key] is not None:  # null: the derived default
                 fileio.number_field(path, base, key, "solver config")
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)}
-    return SolverConfig(**base).merged(**flags)
+    return SolverConfig(**base | _given(args, *(f.name for f in dataclasses.fields(SolverConfig))))
 
 
 def _load_lista_params(args, needed):
@@ -72,13 +75,7 @@ def cmd_simulate(args):
     g = _load_geometry(args)
     grid = _grid_from(args, g)
     a = build_steering_matrix(g)
-    params = {}
-    if args.model == "two_scatterers":
-        params["separation_rho"] = args.separation
-    if args.model.startswith("building:"):
-        params["spacing_m"] = args.spacing
-        if args.scene_size is not None:
-            params["scene_size_m"] = args.scene_size
+    params = _given(args, "separation_rho", "spacing_m", "scene_size_m")
     scene, meta = make_test_object(args.model, g, grid, seed=args.seed, **params)
     echo = generate_echo(scene, a, args.snr, args.seed)
     fileio.write_tensor(args.out_scene, scene)
@@ -100,10 +97,10 @@ def cmd_reconstruct(args):
     cfg = _solver_config(args)
     params = _load_lista_params(args, args.method == "lista")
     run = lambda: reconstruct_tensor(echo, a, args.method, cfg=cfg, lista_params=params)
-    (recon, report), t_mean = timed(run, repeats=args.repeats if args.timing else 1)
+    (recon, report), t_mean = timed(run, **_given(args, "repeats") if args.timing else {})
     fileio.write_tensor(args.out, recon)
     report_path = args.report or args.out + ".report.json"
-    doc = report.to_dict(include_timing=args.timing, t_ag_s=t_mean if args.timing else None)
+    doc = report.to_dict(t_ag_s=t_mean if args.timing else None)
     doc["method"] = args.method
     fileio.write_json(report_path, doc)
     return 0
@@ -114,41 +111,28 @@ def cmd_evaluate(args):
     truth = fileio.read_tensor(_require_file(args.truth, "ground-truth"))
     if recon.shape != truth.shape:
         raise ConfigurationError(f"tensor dims differ: {recon.shape} vs {truth.shape}")
-    report, _, _ = evaluate_tensors(
-        recon,
-        truth,
-        rel_threshold=args.rel_threshold,
-        tau_p=args.tau_p,
-        cell=(args.cell_z, args.cell_x, args.cell_y),
-    )
+    cell = (args.cell_z, args.cell_x, args.cell_y)
+    report, _, _ = evaluate_tensors(recon, truth, cell=cell, **_given(args, "rel_threshold", "tau_p"))
     fileio.write_json(args.out, report.to_dict())
     return 0
 
 
 def cmd_resolution_test(args):
     g = _load_geometry(args)
-    separations = []
-    for s in filter(str.strip, args.separations.split(",")):
-        try:
-            separations.append(float(s))
-        except ValueError:
-            raise ConfigurationError(f"--separations entry {s!r} is not a number") from None
-    if not separations:
-        raise ConfigurationError("no separations given")
+    study = _given(args, "method", "trials", "snr_db", "seed", "peak_rel_threshold", "success_half_width")
+    if args.separations is not None:
+        separations = []
+        for s in filter(str.strip, args.separations.split(",")):
+            try:
+                separations.append(float(s))
+            except ValueError:
+                raise ConfigurationError(f"--separations entry {s!r} is not a number") from None
+        if not separations:
+            raise ConfigurationError("no separations given")
+        study["separations"] = separations
     cfg = _solver_config(args)
     params = _load_lista_params(args, args.method == "lista")
-    rows = bench.resolution_curve(
-        g,
-        separations=separations,
-        trials=args.trials,
-        snr_db=args.snr,
-        seed=args.seed,
-        method=args.method,
-        cfg=cfg,
-        lista_params=params,
-        peak_rel_threshold=args.peak_threshold,
-        success_half_width=args.half_width,
-    )
+    rows = bench.resolution_curve(g, cfg=cfg, lista_params=params, **study)
     fileio.write_resolution_curve(args.out, rows)
     return 0
 
@@ -168,10 +152,8 @@ def cmd_structure_test(args):
         args.out_dir,
         cfg=cfg,
         lista_params=params,
-        rel_threshold=args.rel_threshold,
-        tau_p=args.tau_p,
         timing=args.timing,
-        repeats=args.repeats,
+        **_given(args, "rel_threshold", "tau_p", "repeats"),
     )
     return 0
 
@@ -179,8 +161,8 @@ def cmd_structure_test(args):
 def cmd_train_lista(args):
     g = _load_geometry(args)
     a = build_steering_matrix(g)
-    dataset = make_fiber_dataset(a, args.fibers, args.seed, snr_db=args.snr)
-    params, trace = lista_train(a, dataset, k_blocks=args.blocks, epochs=args.epochs, lr=args.lr)
+    dataset = make_fiber_dataset(a, args.fibers, args.seed, **_given(args, "snr_db"))
+    params, trace = lista_train(a, dataset, **_given(args, "k_blocks", "epochs", "lr"))
     fileio.write_lista_params(args.out_params, params)
     if args.out_loss:
         lines = ["epoch,loss"] + [f"{i},{float(v)!r}" for i, v in enumerate(trace)]
@@ -195,21 +177,21 @@ def _add_geometry_arg(p):
 
 
 def _add_grid_args(p):
-    p.add_argument("--nx", type=int, default=64, help="range bins (default 64)")
-    p.add_argument("--ny", type=int, default=64, help="azimuth bins (default 64)")
-    p.add_argument("--cell-x", type=float, default=0.5, help="range cell in meters (default 0.5)")
-    p.add_argument("--cell-y", type=float, default=0.5, help="azimuth cell in meters (default 0.5)")
+    p.add_argument("--nx", type=int, dest="n_x", help="range bins")
+    p.add_argument("--ny", type=int, dest="n_y", help="azimuth bins")
+    p.add_argument("--cell-x", type=float, help="range cell in meters")
+    p.add_argument("--cell-y", type=float, help="azimuth cell in meters")
 
 
 def _add_solver_args(p):
     p.add_argument("--config", help="solver config JSON; flags override its values")
     for f in dataclasses.fields(SolverConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=int if f.type is int else float, default=None)
+        p.add_argument("--" + f.name.replace("_", "-"), type=int if f.type is int else float)
 
 
 def _add_timing_args(p):
     p.add_argument("--timing", action="store_true", help="record wall time (breaks byte reproducibility)")
-    p.add_argument("--repeats", type=int, default=1, help="timing repetitions for the mean (default 1)")
+    p.add_argument("--repeats", type=int, help="timing repetitions for the mean")
 
 
 def build_parser():
@@ -224,10 +206,10 @@ def build_parser():
     _add_grid_args(p)
     p.add_argument("--model", required=True,
                    help="two_scatterers | one_step | multi_step | building:<box|l_shape|one_step|multi_step|flat>")
-    p.add_argument("--separation", type=float, default=1.0,
+    p.add_argument("--separation", type=float, dest="separation_rho",
                    help="two_scatterers separation in multiples of the Rayleigh resolution")
-    p.add_argument("--spacing", type=float, default=0.5, help="building surface sampling in meters")
-    p.add_argument("--scene-size", type=float, default=None, help="physical scene extent in meters")
+    p.add_argument("--spacing", type=float, dest="spacing_m", help="building surface sampling in meters")
+    p.add_argument("--scene-size", type=float, dest="scene_size_m", help="physical scene extent in meters")
     p.add_argument("--snr", type=float, default=5.0, help="echo SNR in dB (inf: no noise)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-scene", required=True)
@@ -250,8 +232,8 @@ def build_parser():
     p.add_argument("--recon", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tau-p", type=float, default=None, help="match tolerance (default: 1 voxel diagonal)")
-    p.add_argument("--rel-threshold", type=float, default=0.1)
+    p.add_argument("--tau-p", type=float, help="match tolerance (default: one voxel diagonal)")
+    p.add_argument("--rel-threshold", type=float)
     p.add_argument("--cell-z", type=float, default=1.0)
     p.add_argument("--cell-x", type=float, default=1.0)
     p.add_argument("--cell-y", type=float, default=1.0)
@@ -259,13 +241,13 @@ def build_parser():
 
     p = sub.add_parser("resolution-test", help="two-scatterer Monte Carlo separability study")
     _add_geometry_arg(p)
-    p.add_argument("--method", default="fista", choices=METHODS)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--snr", type=float, default=5.0)
-    p.add_argument("--separations", default=",".join(str(s) for s in bench.DEFAULT_SEPARATIONS))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--peak-threshold", type=float, default=0.25)
-    p.add_argument("--half-width", type=float, default=0.5,
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--snr", type=float, dest="snr_db")
+    p.add_argument("--separations", help="comma-separated separations in multiples of the Rayleigh resolution")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--peak-threshold", type=float, dest="peak_rel_threshold")
+    p.add_argument("--half-width", type=float, dest="success_half_width",
                    help="success tolerance as a fraction of the true separation")
     p.add_argument("--params", help="learned parameters JSON (method lista)")
     p.add_argument("--out", required=True)
@@ -280,8 +262,8 @@ def build_parser():
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--snr", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rel-threshold", type=float, default=0.1)
-    p.add_argument("--tau-p", type=float, default=None)
+    p.add_argument("--rel-threshold", type=float)
+    p.add_argument("--tau-p", type=float)
     p.add_argument("--params", help="learned parameters JSON (method lista)")
     p.add_argument("--out-dir", required=True)
     _add_solver_args(p)
@@ -292,10 +274,10 @@ def build_parser():
     _add_geometry_arg(p)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--fibers", type=int, default=500)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--blocks", type=int, default=9)
-    p.add_argument("--snr", type=float, default=5.0)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--blocks", type=int, dest="k_blocks")
+    p.add_argument("--snr", type=float, dest="snr_db")
     p.add_argument("--out-params", required=True)
     p.add_argument("--out-loss", default=None)
     p.set_defaults(func=cmd_train_lista)

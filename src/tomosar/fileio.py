@@ -115,15 +115,6 @@ def _build(path, cls, **fields):
         raise ConfigurationError(f"{path}: {exc}") from None
 
 
-def write_geometry(path, g: SystemGeometry):
-    """One key per SystemGeometry field; an ndarray field is a list of numbers."""
-    doc = {}
-    for f in fields(SystemGeometry):
-        v = getattr(g, f.name)
-        doc[f.name] = [float(e) for e in v] if f.type is np.ndarray else v
-    write_json(path, doc)
-
-
 def read_geometry(path) -> SystemGeometry:
     obj = read_json_object(path, "geometry")
     values = {

@@ -54,10 +54,6 @@ class SolverConfig:
     max_outer: int = 300
     inner_iters: int = 3
 
-    def merged(self, **overrides):
-        vals = self.__dict__ | {k: v for k, v in overrides.items() if v is not None}
-        return SolverConfig(**vals)
-
 
 @dataclass(frozen=True)
 class ResolvedConfig:
@@ -145,14 +141,15 @@ class SolverReport:
     feasibility_gap_trace: list | None = None
     column_iterations: list | None = None
 
-    def to_dict(self, include_timing=False, t_ag_s=None):
+    def to_dict(self, t_ag_s=None):
+        """The report as JSON; both timing fields stay null unless ``t_ag_s`` is given."""
         d = {
             "iterations": self.iterations,
             "objective_trace": self.objective_trace,
             "rel_change_trace": self.rel_change_trace,
-            "wall_time_s": self.wall_time_s if include_timing else None,
+            "wall_time_s": None if t_ag_s is None else self.wall_time_s,
             "converged": self.converged,
-            "t_ag_s": t_ag_s if include_timing else None,
+            "t_ag_s": t_ag_s,
         }
         if self.feasibility_gap_trace is not None:
             d["feasibility_gap_trace"] = self.feasibility_gap_trace

@@ -1,11 +1,13 @@
 """End-to-end command-line tests: file round trips, byte determinism,
 exit codes, and cross-method consistency."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import tomosar
 from tomosar import bench, cli, fileio
 from tomosar.fileio import read_tensor, write_lista_params, write_tensor
 from tomosar.sensing import build_steering_matrix, default_geometry, spectral_norm_sq
-from tomosar.solvers import LearnedIstaParams
+from tomosar.solvers import LearnedIstaParams, SolverConfig
 
 
 def run_cli(*args, env_extra=None, cwd=None, timeout=None):
@@ -43,6 +45,72 @@ def simulate_small(tmp_path, seed=0, model="one_step", snr="5.0", nx=8, ny=8):
     )
     assert res.returncode == 0, res.stderr
     return scene, echo, meta
+
+
+class _Reached(Exception):
+    """Raised by the last patched callee of a command once it has recorded its call."""
+
+
+# callee -> the keywords that the CLI passes to it only when their flag is given
+_FORWARDED = {
+    "GridSpec.from_geometry": {"n_x", "n_y", "cell_x", "cell_y"},
+    "make_test_object": {"separation_rho", "spacing_m", "scene_size_m"},
+    "timed": {"repeats"},
+    "evaluate_tensors": {"rel_threshold", "tau_p"},
+    "resolution_curve": {"separations", "trials", "snr_db", "seed", "method",
+                         "peak_rel_threshold", "success_half_width"},
+    "run_structure_test": {"rel_threshold", "tau_p", "repeats"},
+    "make_fiber_dataset": {"snr_db"},
+    "lista_train": {"k_blocks", "epochs", "lr"},
+}
+
+# command -> (the callees it reaches, the last one first; its required flags)
+_REQUIRED_ONLY = {
+    "simulate": (["make_test_object", "GridSpec.from_geometry"],
+                 ["--model", "one_step", "--out-scene", "s.tsr3", "--out-echo", "e.tsr3"]),
+    "reconstruct": (["timed"], ["--echo", "ECHO", "--method", "fista", "--out", "r.tsr3"]),
+    "evaluate": (["evaluate_tensors"], ["--recon", "ECHO", "--truth", "ECHO", "--out", "eval.json"]),
+    "resolution-test": (["resolution_curve"], ["--out", "curve.csv"]),
+    "structure-test": (["run_structure_test", "GridSpec.from_geometry"],
+                       ["--object", "one_step", "--method", "fista", "--out-dir", "bundle"]),
+    "train-lista": (["lista_train", "make_fiber_dataset"], ["--out-params", "params.json"]),
+}
+
+
+class TestForwarding:
+    """A flag that is left out is not passed on: the library's own default
+    fills it in."""
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED_ONLY))
+    def test_required_flags_only_forward_no_default(self, tmp_path, monkeypatch, command):
+        echo = tmp_path / "echo.tsr3"
+        write_tensor(str(echo), np.ones((12, 2, 2), dtype=complex))
+        callees, required = _REQUIRED_ONLY[command]
+        calls = {}
+
+        def spy(name, real):
+            def record(*args, **kwargs):
+                calls[name] = kwargs
+                if name == callees[0]:
+                    raise _Reached
+                return real(*args, **kwargs)
+            return record
+
+        grid = types.SimpleNamespace(from_geometry=spy("GridSpec.from_geometry", cli.GridSpec.from_geometry))
+        monkeypatch.setattr(cli, "GridSpec", grid)
+        for name in ("make_test_object", "timed", "evaluate_tensors", "make_fiber_dataset", "lista_train"):
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        for name in ("resolution_curve", "run_structure_test"):
+            monkeypatch.setattr(bench, name, spy(name, getattr(bench, name)))
+        monkeypatch.chdir(tmp_path)
+        args = cli.build_parser().parse_args([command] + [str(echo) if a == "ECHO" else a for a in required])
+        with pytest.raises(_Reached):
+            args.func(args)
+        assert sorted(calls) == sorted(callees)
+        for name, kwargs in calls.items():
+            assert not set(kwargs) & _FORWARDED[name], (name, kwargs)
+        if hasattr(args, "max_outer"):
+            assert cli._solver_config(args) == SolverConfig()
 
 
 class TestSubprocessEnvironment:
@@ -77,6 +145,19 @@ class TestSimulate:
         assert s1.read_bytes() == s2.read_bytes()
         assert e1.read_bytes() == e2.read_bytes()
         assert m1.read_bytes() == m2.read_bytes()
+
+    @pytest.mark.parametrize("model, flag, value, param", [
+        ("one_step", "--spacing", "0.3", "spacing_m"),
+        ("building:box", "--separation", "2", "separation_rho"),
+    ])
+    def test_parameter_of_another_model_exits_2(self, tmp_path, capsys, model, flag, value, param):
+        scene, echo = tmp_path / "s.tsr3", tmp_path / "e.tsr3"
+        rc = cli.main(["simulate", "--model", model, flag, value,
+                       "--out-scene", str(scene), "--out-echo", str(echo)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: test object {model!r} has no parameter {param!r}"), err
+        assert not scene.exists() and not echo.exists()
 
     def test_unknown_model_exits_2(self, tmp_path):
         res = run_cli(
@@ -269,6 +350,10 @@ class TestReconstruct:
         )
         assert res.returncode == 0, res.stderr
         assert json.loads(rep.read_text())["iterations"] == 5
+        # a flag that is left out keeps the file's value, and a key in neither the default
+        args = cli.build_parser().parse_args(["reconstruct", "--echo", str(echo), "--method", "ista",
+                                              "--config", str(cfg), "--max-outer", "5", "--out", "r"])
+        assert cli._solver_config(args) == SolverConfig(max_outer=5, sigma=1e-12)
 
     def test_timing_populates_report(self, tmp_path):
         _, echo, _ = simulate_small(tmp_path, nx=4, ny=4)
@@ -619,8 +704,7 @@ class TestInvalidInputFiles:
     ])
     def test_nonfinite_geometry_exits_2_naming_the_file(self, tmp_path, capsys, echo, command, field, value):
         geom = tmp_path / "geometry.json"
-        fileio.write_geometry(str(geom), default_geometry())
-        doc = fileio.read_json(str(geom))
+        doc = {k: np.asarray(v).tolist() for k, v in dataclasses.asdict(default_geometry()).items()}
         if isinstance(doc[field], list):
             doc[field][1] = value
         else:

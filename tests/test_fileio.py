@@ -1,5 +1,6 @@
 """Serialization: tensor container, JSON documents, CSV tables."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -102,10 +103,15 @@ class TestJson:
         assert str(err.value).startswith(f"{path}: ")
 
 
+def _write_geometry(path, g):
+    """A geometry document: one key per SystemGeometry field, arrays as lists of numbers."""
+    fileio.write_json(path, {k: np.asarray(v).tolist() for k, v in dataclasses.asdict(g).items()})
+
+
 class TestGeometryDocument:
     def test_exact_keys(self, tmp_path):
         path = str(tmp_path / "g.json")
-        fileio.write_geometry(path, default_geometry())
+        _write_geometry(path, default_geometry())
         doc = json.load(open(path))
         assert sorted(doc) == [
             "baselines_m",
@@ -117,13 +123,13 @@ class TestGeometryDocument:
 
     def test_default_geometry_bytes_pinned(self, tmp_path):
         path = tmp_path / "g.json"
-        fileio.write_geometry(str(path), default_geometry())
+        _write_geometry(str(path), default_geometry())
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "f145537836bfac0bf35f2f987634437ad9698843cdad02c8946a986feee2afba"
 
     def test_missing_key_rejected(self, tmp_path):
         path = str(tmp_path / "g.json")
-        fileio.write_geometry(path, default_geometry())
+        _write_geometry(path, default_geometry())
         doc = json.load(open(path))
         del doc["wavelength_m"], doc["elevation_grid_m"]
         json.dump(doc, open(path, "w"))
@@ -146,7 +152,7 @@ class TestGeometryDocument:
             "negative-wavelength", "one-baseline", "decreasing-grid"])
     def test_malformed_document_rejected_naming_the_file(self, tmp_path, change, message):
         path = str(tmp_path / "g.json")
-        fileio.write_geometry(path, default_geometry())
+        _write_geometry(path, default_geometry())
         fileio.write_json(path, change(fileio.read_json(path)))
         with pytest.raises(ConfigurationError, match=message) as err:
             fileio.read_geometry(path)

@@ -331,7 +331,7 @@ class TestGeometryRoundtrip:
     def test_json_roundtrip(self, tmp_path):
         g = default_geometry()
         path = str(tmp_path / "g.json")
-        fileio.write_geometry(path, g)
+        fileio.write_json(path, {k: np.asarray(v).tolist() for k, v in dataclasses.asdict(g).items()})
         back = fileio.read_geometry(path)
         assert np.array_equal(back.baselines_m, g.baselines_m)
         assert np.array_equal(back.elevation_grid_m, g.elevation_grid_m)

@@ -1234,13 +1234,6 @@ class TestConfig:
         assert (rc.alpha, rc.lambda1, rc.lambda2, rc.mu) == (0.5, 2.0, 0.7, 3.0)
         assert (rc.tau1, rc.tau2, rc.sigma, rc.max_outer, rc.inner_iters) == (0.01, 0.2, 1e-4, 7, 2)
 
-    def test_merged_overrides(self):
-        base = SolverConfig(lambda1=1.0, mu=2.0)
-        m = base.merged(lambda1=3.0, sigma=None)
-        assert m.lambda1 == 3.0
-        assert m.mu == 2.0
-        assert m.sigma == base.sigma  # None override keeps the base value
-
     def test_validation_errors(self):
         a = build_steering_matrix(small_geometry())
         y = np.ones(a.shape[0], dtype=complex)

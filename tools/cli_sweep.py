@@ -12,15 +12,19 @@ digests, one ``<sha256>  <path>`` line per file sorted by path, go to
 
     diff A/manifest.sha256 B/manifest.sha256
 
-The sweep covers every subcommand and method: ``train-lista`` at its
-defaults; ``simulate`` of a 32x32 building:box and ``reconstruct`` of its
+The sweep runs 33 commands and covers every subcommand and method:
+``train-lista`` at its defaults; ``simulate`` of a 32x32 building:box and ``reconstruct`` of its
 echo by each method (and sb-tv with lambda1 = 0); ``structure-test`` of the
 same object by each method; ``resolution-test`` with 25 trials for every
 method, and fista with 100 trials (two column batches of whole
 separations, so the two workers share the study); the six commands of
 acceptance criterion 10; and five noiseless (``--snr inf``) commands:
 ``train-lista`` at its other defaults, ``simulate`` of a 32x32 building:box
-and of the two scatterers, and ``resolution-test`` by fista and by sb-tv.
+and of the two scatterers, and ``resolution-test`` by fista and by sb-tv;
+and three commands that leave the grid and scoring flags out: ``simulate``
+of one_step at the default grid, ``evaluate`` of that scene against itself
+with no ``--cell-*`` flags, and ``simulate`` of the two scatterers at
+``--separation 0.6``.
 """
 
 import hashlib
@@ -83,6 +87,14 @@ def commands():
     for m in ("fista", "sb-tv"):
         cmds.append(("noiseless", ["resolution-test", "--method", m, "--snr", "inf", "--trials", "25",
                                    "--out", f"curve-{m}.csv"]))
+    cmds += [
+        ("defaults", ["simulate", "--model", "one_step",
+                      "--out-scene", "scene.tsr3", "--out-echo", "echo.tsr3", "--out-meta", "meta.json"]),
+        ("defaults", ["evaluate", "--recon", "scene.tsr3", "--truth", "scene.tsr3", "--out", "eval.json"]),
+        ("defaults", ["simulate", "--model", "two_scatterers", "--separation", "0.6",
+                      "--out-scene", "pair-scene.tsr3", "--out-echo", "pair-echo.tsr3",
+                      "--out-meta", "pair-meta.json"]),
+    ]
     return cmds
 
 
